@@ -113,18 +113,11 @@ let pp_int = string_of_int
 
 (* The autotuned variant (lib/tune): tile sizes / fusion / unroll searched
    empirically at one representative problem size, then simulated across the
-   figure's sweep like every other scheme.  Evaluations are cached under
-   PLUTO_TUNE_CACHE (default .pluto-tune-cache), so reruns are free; the
-   search order is pinned by PLUTO_FUZZ_SEED. *)
+   figure's sweep like every other scheme.  The search order is pinned by
+   PLUTO_FUZZ_SEED. *)
 let tuned_scheme ?(budget = 12) p ~params =
-  let cache_dir =
-    match Sys.getenv_opt "PLUTO_TUNE_CACHE" with
-    | Some "" -> None
-    | Some d -> Some d
-    | None -> Some ".pluto-tune-cache"
-  in
   let report, best =
-    Tune.search ~jobs:2 ~budget ?cache_dir ~seed:(Gen.seed_of_env ()) ~params p
+    Tune.search ~jobs:2 ~budget ~seed:(Gen.seed_of_env ()) ~params p
   in
   Format.printf "%a@." Tune.pp_report_summary report;
   match best with

@@ -328,16 +328,9 @@ let run files output show_deps show_transform no_tile tile_size no_parallel
               else begin
                 (* autotune: search the configuration space, then continue the
                    normal pipeline (output/check/simulate) with the winner *)
-                let seed = Gen.seed_of_env () in
-                let cache_dir =
-                  match Sys.getenv_opt "PLUTO_TUNE_CACHE" with
-                  | Some "" -> None (* explicitly disabled *)
-                  | Some d -> Some d
-                  | None -> Some ".pluto-tune-cache"
-                in
                 let report, best =
-                  Tune.search ~options ~jobs ~budget:tune_budget ?cache_dir
-                    ~seed ~params:bindings program
+                  Tune.search ~options ~jobs ~budget:tune_budget
+                    ~seed:(Gen.seed_of_env ()) ~params:bindings program
                 in
                 Format.eprintf "%a@." Tune.pp_report_summary report;
                 (match tune_report with
@@ -662,8 +655,7 @@ let tune_arg =
            compile each candidate with full verification, cost it on the \
            simulated machine, and emit the best verified variant.  The \
            search order is pinned by PLUTO_FUZZ_SEED; evaluations are \
-           memoized in PLUTO_TUNE_CACHE (default .pluto-tune-cache, empty \
-           to disable).")
+           memoized in the $(b,--cache-dir) store.")
 
 let tune_report_arg =
   Arg.(
@@ -716,8 +708,9 @@ let cache_dir_arg =
     & opt (some string) None
     & info [ "cache-dir" ] ~docv:"DIR"
         ~doc:
-          "Persist solver results (ILP/LP answers, emptiness tests) in DIR \
-           so they survive across processes and runs; entries are sharded \
+          "Persist solver results (ILP/LP answers, emptiness tests) and \
+           $(b,--tune) evaluations in DIR so they survive across processes \
+           and runs; entries are sharded \
            into 256 hash-prefix subdirectories, keyed by canonical \
            constraint-system digests, checksummed and versioned, so a stale \
            or corrupt entry is silently recomputed.  Orphaned temp files \

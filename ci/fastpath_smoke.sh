@@ -36,7 +36,7 @@ field() {
 
 status=0
 for kernel in matmul lu mvt jacobi-1d; do
-  PLUTO_TUNE_CACHE="" dune exec bin/plutocc.exe -- "examples/$kernel.c" \
+  dune exec bin/plutocc.exe -- "examples/$kernel.c" \
     --stats-json "$stats_file" -o /dev/null
 
   solves=$(counter "milp.solves" "$stats_file")

@@ -18,7 +18,7 @@ trap 'rm -f "$stats_file"' EXIT
 # --no-fast-schedule: this job measures the exact ILP substrate, which the
 # fast scheduling path would bypass entirely (ci/fastpath_smoke.sh covers
 # the fast path's own ceilings).
-PLUTO_TUNE_CACHE="" dune exec bin/plutocc.exe -- examples/matmul.c \
+dune exec bin/plutocc.exe -- examples/matmul.c \
   --no-fast-schedule --stats-json "$stats_file" -o /dev/null
 
 # Pull `"name": <int>` out of a one-line JSON file (no jq dependency).

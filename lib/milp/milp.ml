@@ -383,46 +383,10 @@ let widen_obj ~nonneg nv nv0 (objective : Q.t array) =
 (* [lp] is a pure function of its arguments, so memoizing on the raw system
    digest plus the objective returns exactly what re-solving would — the
    codegen bound derivations and the verifier's range probes ask the same
-   rational LPs over and over across tuner candidates.
-
-   Both tables carry a recency tick per entry and live under one entry
-   budget: when an insert pushes a table past the budget, the
-   least-recently-used entries are evicted down to a slack below it
-   (so the O(n log n) trim amortizes over many inserts) and
-   "milp.cache_evictions" counts what was dropped.  Long-running daemons
-   set the budget from --solver-cache-entries; the default matches the
-   historical 100k reset threshold but degrades gracefully instead of
-   dumping the whole table. *)
-let cache_budget = ref 100_000
-let set_cache_budget n = cache_budget := max 16 n
-let cache_tick = ref 0
-
-let next_tick () =
-  incr cache_tick;
-  !cache_tick
-
-(* Trim [tbl] to a slack below the budget once it exceeds it; returns the
-   number of evicted entries (0 when under budget). *)
-let trim_cache tbl =
-  let b = !cache_budget in
-  if Hashtbl.length tbl <= b then 0
-  else begin
-    let evicted =
-      Putil.Lru.trim tbl ~budget:(b - (b / 8)) ~tick:(fun (_, t) -> !t)
-    in
-    Stats.add "milp.cache_evictions" evicted;
-    evicted
-  end
-
-let lp_cache : (string, lp_result * int ref) Hashtbl.t = Hashtbl.create 256
-
-(* Cache journaling: when enabled, every entry added to an in-memory cache
-   is also recorded in a journal the caller can take and replay elsewhere.
-   The compile daemon's forked workers inherit the parent's hot caches,
-   journal what they add, and ship the delta back so the parent's caches
-   stay hot for the next fork (the tables themselves never cross the pipe). *)
-let cache_journal_on = ref false
-let lp_journal : (string * lp_result) list ref = ref []
+   rational LPs over and over across tuner candidates. *)
+let lp_cache : lp_result Memo.t =
+  Memo.create ~kind:"milp-lp" ~hits:"milp.lp_cache_hits"
+    ~misses:"milp.lp_cache_misses" ~evictions:"milp.cache_evictions" ()
 
 let lp ?(nonneg = false) (sys : Polyhedra.t) (objective : Q.t array) =
   if Array.length objective <> sys.Polyhedra.nvars then
@@ -444,30 +408,9 @@ let lp ?(nonneg = false) (sys : Polyhedra.t) (objective : Q.t array) =
         Buffer.add_string b (Q.to_string q);
         Buffer.add_char b ',')
       objective;
-    let key = Buffer.contents b in
-    match Hashtbl.find_opt lp_cache key with
-    | Some (r, tick) ->
-        Stats.incr "milp.lp_cache_hits";
-        tick := next_tick ();
-        (match r with
-        | Lp_optimal (v, x) -> Lp_optimal (v, Array.copy x)
-        | (Lp_infeasible | Lp_unbounded) as r -> r)
-    | None ->
-        Stats.incr "milp.lp_cache_misses";
-        let r =
-          match (Store.read ~kind:"milp-lp" ~key : lp_result option) with
-          | Some r -> r
-          | None ->
-              let r = solve () in
-              Store.write ~kind:"milp-lp" ~key r;
-              r
-        in
-        Hashtbl.replace lp_cache key (r, ref (next_tick ()));
-        ignore (trim_cache lp_cache);
-        if !cache_journal_on then lp_journal := (key, r) :: !lp_journal;
-        (match r with
-        | Lp_optimal (v, x) -> Lp_optimal (v, Array.copy x)
-        | (Lp_infeasible | Lp_unbounded) as r -> r)
+    match Memo.lookup lp_cache (Buffer.contents b) solve with
+    | Lp_optimal (v, x) -> Lp_optimal (v, Array.copy x)
+    | (Lp_infeasible | Lp_unbounded) as r -> r
   end
 
 (* ----------------------------- branch & bound ---------------------------- *)
@@ -660,82 +603,24 @@ let feasible ?(nonneg = false) ?budget ?warm (sys : Polyhedra.t) =
    tightening (sound here — every caller's variables range over Z) and keyed
    by digest, so the thousands of near-identical dependence/verify probes
    answer from the table.  Budget overruns propagate uncached. *)
-let feasible_cache : (string, Bigint.t array option * int ref) Hashtbl.t =
-  Hashtbl.create 1024
-
-let feasible_journal : (string * Bigint.t array option) list ref = ref []
+let feasible_cache : Bigint.t array option Memo.t =
+  Memo.create ~kind:"milp-feasible" ~hits:"milp.feasible_cache_hits"
+    ~misses:"milp.feasible_cache_misses" ~evictions:"milp.cache_evictions" ()
 
 let clear_caches () =
-  Hashtbl.reset feasible_cache;
-  Hashtbl.reset lp_cache
-
-type cache_journal = {
-  j_lp : (string * lp_result) list;
-  j_feasible : (string * Bigint.t array option) list;
-}
-
-let set_cache_journal on =
-  cache_journal_on := on;
-  lp_journal := [];
-  feasible_journal := []
-
-let take_cache_journal () =
-  let j = { j_lp = !lp_journal; j_feasible = !feasible_journal } in
-  lp_journal := [];
-  feasible_journal := [];
-  j
-
-let cache_journal_length j = List.length j.j_lp + List.length j.j_feasible
-
-let cache_entry_count () =
-  Hashtbl.length lp_cache + Hashtbl.length feasible_cache
-
-let absorb_cache_journal j =
-  List.iter
-    (fun (k, r) ->
-      if not (Hashtbl.mem lp_cache k) then
-        Hashtbl.add lp_cache k (r, ref (next_tick ())))
-    j.j_lp;
-  List.iter
-    (fun (k, r) ->
-      if not (Hashtbl.mem feasible_cache k) then
-        Hashtbl.add feasible_cache k (r, ref (next_tick ())))
-    j.j_feasible;
-  trim_cache lp_cache + trim_cache feasible_cache
+  Memo.clear feasible_cache;
+  Memo.clear lp_cache
 
 let feasible_cached ?(nonneg = false) ?budget (sys : Polyhedra.t) =
   if not !warm_enabled then feasible ~nonneg ?budget sys
   else
     match Polyhedra.canon ~integer:true sys with
     | None -> None (* canonicalization proved the system empty *)
-    | Some c -> (
-        let key = (if nonneg then "n:" else "f:") ^ Polyhedra.digest c in
-        match Hashtbl.find_opt feasible_cache key with
-        | Some (r, tick) ->
-            Stats.incr "milp.feasible_cache_hits";
-            tick := next_tick ();
-            Option.map Array.copy r
-        | None ->
-            Stats.incr "milp.feasible_cache_misses";
-            let r =
-              match
-                (Store.read ~kind:"milp-feasible" ~key
-                  : Bigint.t array option option)
-              with
-              | Some r -> r
-              | None ->
-                  (* budget overruns raise here and propagate uncached *)
-                  let r = feasible ~nonneg ?budget c in
-                  Store.write ~kind:"milp-feasible" ~key r;
-                  r
-            in
-            Hashtbl.replace feasible_cache key
-              (Option.map Array.copy r, ref (next_tick ()));
-            ignore (trim_cache feasible_cache);
-            if !cache_journal_on then
-              feasible_journal :=
-                (key, Option.map Array.copy r) :: !feasible_journal;
-            r)
+    | Some c ->
+        Option.map Array.copy
+          (Memo.lookup feasible_cache
+             ((if nonneg then "n:" else "f:") ^ Polyhedra.digest c)
+             (fun () -> feasible ~nonneg ?budget c))
 
 (* ------------------------ lexicographic minimum -------------------------- *)
 

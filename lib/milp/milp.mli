@@ -95,49 +95,11 @@ val feasible :
 val feasible_cached :
   ?nonneg:bool -> ?budget:budget -> Polyhedra.t -> Bigint.t array option
 
-(** Drop all memoized feasibility results. *)
+(** Drop all memoized LP and feasibility results.  Both caches are
+    solver-pool {!Memo} tables (store kinds ["milp-lp"] and
+    ["milp-feasible"], eviction counter [milp.cache_evictions]), so they
+    obey {!Memo.set_budget} and the daemon's journal. *)
 val clear_caches : unit -> unit
-
-(** {2 Cache bounds}
-
-    The lp/feasibility tables are LRU-bounded: every entry carries a
-    recency tick, and an insert that pushes a table past the budget evicts
-    the least-recently-used entries (counter [milp.cache_evictions]).
-    Long-lived daemons size this with [--solver-cache-entries]. *)
-
-(** [set_cache_budget n] caps {e each} in-memory solver cache at [n]
-    entries (clamped to at least 16; default 100_000). *)
-val set_cache_budget : int -> unit
-
-(** Total live entries across the lp and feasibility caches. *)
-val cache_entry_count : unit -> int
-
-(** {2 Cache journaling}
-
-    Support for long-lived servers whose forked workers inherit the parent's
-    hot in-memory caches: with [set_cache_journal true], every entry added
-    to the lp/feasibility caches is also recorded in a journal.  The worker
-    takes the journal ({!take_cache_journal}), ships it across the fork
-    boundary as pure data, and the parent replays it with
-    {!absorb_cache_journal} — so caches stay hot across requests without
-    ever marshaling the full tables. *)
-
-type cache_journal
-
-val set_cache_journal : bool -> unit
-
-(** Return the entries journaled since [set_cache_journal true] (or the last
-    take), and reset the journal. *)
-val take_cache_journal : unit -> cache_journal
-
-(** Number of entries carried by a journal. *)
-val cache_journal_length : cache_journal -> int
-
-(** Replay a journal into the in-memory caches and return how many entries
-    the post-absorb LRU trim evicted to stay under the budget.  Existing
-    keys win (the journal was computed from the same pure functions, so
-    values agree). *)
-val absorb_cache_journal : cache_journal -> int
 
 (** [lexmin ?nonneg sys] is the lexicographically smallest integer point of
     [sys] (minimizing variable 0 first, then variable 1, ...), or [None] if

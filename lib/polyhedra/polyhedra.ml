@@ -318,103 +318,24 @@ let is_empty_rational t =
 (* Memoized rational emptiness, keyed by the digest of the canonical form so
    syntactic permutations and rescalings of the same system share one entry.
    The dependence tester and the verifier probe thousands of near-identical
-   systems; this cache answers the repeats without re-running elimination.
-   When the persistent {!Store} is enabled (plutocc --cache-dir), an
-   in-memory miss additionally consults the on-disk store before falling
-   back to elimination, so repeated compilations across processes — batch
-   workers, CI reruns — amortize the work too. *)
-let empty_cache : (string, bool * int ref) Hashtbl.t = Hashtbl.create 1024
+   systems; this cache answers the repeats without re-running elimination. *)
+let empty_cache : bool Memo.t =
+  Memo.create ~kind:"poly-empty" ~hits:"poly.empty_cache_hits"
+    ~misses:"poly.empty_cache_misses" ~evictions:"poly.cache_evictions" ()
 
 let empty_cache_enabled = ref true
 let set_empty_cache b = empty_cache_enabled := b
-let clear_caches () = Hashtbl.reset empty_cache
-
-(* Entry budget + LRU eviction, mirroring {!Milp}: entries carry a recency
-   tick; when an insert pushes the table past the budget the oldest entries
-   are trimmed to a slack below it (amortizing the O(n log n) scan) and
-   "poly.cache_evictions" counts the drops.  Daemons size this with
-   --solver-cache-entries; the default preserves the historical 100k
-   threshold without the old whole-table reset. *)
-let cache_budget = ref 100_000
-let set_cache_budget n = cache_budget := max 16 n
-let cache_tick = ref 0
-
-let next_tick () =
-  incr cache_tick;
-  !cache_tick
-
-let trim_cache () =
-  let b = !cache_budget in
-  if Hashtbl.length empty_cache <= b then 0
-  else begin
-    let evicted =
-      Putil.Lru.trim empty_cache ~budget:(b - (b / 8))
-        ~tick:(fun (_, t) -> !t)
-    in
-    Stats.add "poly.cache_evictions" evicted;
-    evicted
-  end
-
-let cache_entry_count () = Hashtbl.length empty_cache
-
-(* Journal of freshly added entries for daemon workers — see the matching
-   API in {!Milp}: the worker ships the delta back and the parent absorbs
-   it, keeping the emptiness cache hot across forks. *)
-type cache_journal = (string * bool) list
-
-let cache_journal_on = ref false
-let empty_journal : cache_journal ref = ref []
-
-let set_cache_journal on =
-  cache_journal_on := on;
-  empty_journal := []
-
-let take_cache_journal () =
-  let j = !empty_journal in
-  empty_journal := [];
-  j
-
-let cache_journal_length = List.length
-
-let absorb_cache_journal j =
-  List.iter
-    (fun (k, e) ->
-      if not (Hashtbl.mem empty_cache k) then
-        Hashtbl.add empty_cache k (e, ref (next_tick ())))
-    j;
-  trim_cache ()
-
-let store_kind = "poly-empty"
+let clear_caches () = Memo.clear empty_cache
 
 let is_empty_cached ?(integer = false) t =
   match canon ~integer t with
   | None -> true (* canonicalization already proved the system empty *)
   | Some c ->
       if not !empty_cache_enabled then is_empty_rational c
-      else begin
-        let k =
-          (if integer then "i:" else "q:") ^ string_of_int c.nvars ^ digest c
-        in
-        match Hashtbl.find_opt empty_cache k with
-        | Some (e, tick) ->
-            Stats.incr "poly.empty_cache_hits";
-            tick := next_tick ();
-            e
-        | None ->
-            Stats.incr "poly.empty_cache_misses";
-            let e =
-              match (Store.read ~kind:store_kind ~key:k : bool option) with
-              | Some e -> e
-              | None ->
-                  let e = is_empty_rational c in
-                  Store.write ~kind:store_kind ~key:k e;
-                  e
-            in
-            Hashtbl.replace empty_cache k (e, ref (next_tick ()));
-            ignore (trim_cache ());
-            if !cache_journal_on then empty_journal := (k, e) :: !empty_journal;
-            e
-      end
+      else
+        Memo.lookup empty_cache
+          ((if integer then "i:" else "q:") ^ string_of_int c.nvars ^ digest c)
+          (fun () -> is_empty_rational c)
 
 let bounds_on t v =
   List.fold_left

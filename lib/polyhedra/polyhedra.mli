@@ -112,10 +112,10 @@ val is_empty_rational : t -> bool
     systems that still have rational points — only sound when every variable
     of [t] ranges over the integers.
 
-    When the persistent {!Store} is enabled ([Store.set_dir]; the CLI's
-    [--cache-dir]), an in-memory miss consults the on-disk store before
-    re-running elimination and persists fresh answers, so the cache survives
-    across processes (batch workers, repeated [plutocc] runs). *)
+    The cache is a solver-pool {!Memo} table (store kind ["poly-empty"],
+    eviction counter [poly.cache_evictions]): it reads through to the
+    persistent {!Store} when one is enabled, and obeys {!Memo.set_budget}
+    and the daemon's journal. *)
 val is_empty_cached : ?integer:bool -> t -> bool
 
 (** [set_empty_cache false] disables the memoized emptiness cache (used by
@@ -124,31 +124,6 @@ val set_empty_cache : bool -> unit
 
 (** Drop all memoized emptiness results. *)
 val clear_caches : unit -> unit
-
-(** [set_cache_budget n] caps the emptiness cache at [n] entries (clamped
-    to at least 16; default 100_000), evicting least-recently-used entries
-    past the budget (counter [poly.cache_evictions]) — same contract as
-    {!Milp.set_cache_budget}. *)
-val set_cache_budget : int -> unit
-
-(** Live entries in the emptiness cache. *)
-val cache_entry_count : unit -> int
-
-(** {2 Cache journaling} — same contract as the matching {!Milp} API: with
-    journaling on, freshly computed emptiness answers are also recorded in a
-    journal that a forked worker can take and ship to its parent, which
-    replays it with {!absorb_cache_journal} to keep the cache hot across
-    forks (the compile daemon's warm path). *)
-
-type cache_journal
-
-val set_cache_journal : bool -> unit
-val take_cache_journal : unit -> cache_journal
-val cache_journal_length : cache_journal -> int
-
-(** Replays the journal, then LRU-trims to the configured budget; returns
-    the number of entries evicted by that trim. *)
-val absorb_cache_journal : cache_journal -> int
 
 (** {1 Queries} *)
 

@@ -80,16 +80,14 @@ type task_reply = {
   t_diags : Diag.t list;
   t_rung : string;
   t_counters : (string * int) list;
-  t_milp_j : Milp.cache_journal;
-  t_poly_j : Polyhedra.cache_journal;
+  t_journal : Memo.journal;
 }
 
 (* Unlike {!Batch.compile_one}, the caches are *not* cleared: the worker
    inherited the daemon's hot tables and that is the whole point.  What it
    adds is journaled and shipped back for the daemon to absorb. *)
 let compile_task (q : task_payload) : task_reply =
-  Milp.set_cache_journal true;
-  Polyhedra.set_cache_journal true;
+  Memo.set_journal true;
   let t_code, t_diags, t_rung =
     match
       Driver.compile_source_robust ~options:q.q_options ~strict:q.q_strict
@@ -107,18 +105,21 @@ let compile_task (q : task_payload) : task_reply =
     t_diags;
     t_rung;
     t_counters = Stats.counters ();
-    t_milp_j = Milp.take_cache_journal ();
-    t_poly_j = Polyhedra.take_cache_journal ();
+    t_journal = Memo.take_journal ();
   }
 
 (* ----------------------------- result caching ----------------------------- *)
 
 (* What outlives a request: enough to rebuild a response (and nothing
-   process-specific), stored in the in-memory LRU and, sub-versioned by
-   [protocol_version], in the persistent store. *)
+   process-specific), stored in the in-memory result table and,
+   sub-versioned by [protocol_version], in the persistent store. *)
 type cached = { c_code : string option; c_diags : Diag.t list; c_rung : string }
 
-let store_kind = "server-result"
+let result_table cfg : cached Memo.t =
+  Memo.create ~kind:"server-result" ~version:protocol_version
+    ~budget:cfg.result_cache_entries ~hits:"server.result_cache_hits"
+    ~misses:"server.result_cache_misses"
+    ~store_hits:"server.result_store_hits" ()
 
 (* ------------------------------- connections ------------------------------ *)
 
@@ -175,8 +176,7 @@ type state = {
   queue : job Queue.t;  (* FIFO of jobs awaiting a worker *)
   mutable running : job list;
   mutable n_running : int;
-  lru : (string, cached * int ref) Hashtbl.t;
-  mutable lru_tick : int;
+  results : cached Memo.t;
   draining : bool ref;
 }
 
@@ -249,26 +249,6 @@ let respond_busy conn slot ~name msg =
   Stats.incr "server.busy_rejections";
   respond conn slot (busy_line ~name msg)
 
-(* --------------------------------- LRU ------------------------------------ *)
-
-let lru_find st digest =
-  match Hashtbl.find_opt st.lru digest with
-  | None -> None
-  | Some (c, tick) ->
-      st.lru_tick <- st.lru_tick + 1;
-      tick := st.lru_tick;
-      Some c
-
-let lru_add st digest c =
-  if not (Hashtbl.mem st.lru digest) then begin
-    st.lru_tick <- st.lru_tick + 1;
-    Hashtbl.replace st.lru digest (c, ref st.lru_tick);
-    if Hashtbl.length st.lru > st.cfg.result_cache_entries then
-      ignore
-        (Putil.Lru.trim st.lru ~budget:st.cfg.result_cache_entries
-           ~tick:(fun (_, t) -> !t))
-  end
-
 (* ------------------------------ job lifecycle ----------------------------- *)
 
 let spawn_ready st =
@@ -320,18 +300,10 @@ let finish_job st job (o : task_reply Pool.outcome) =
   | Ok r ->
       (* keep the daemon's solver caches hot for the next fork; the absorb
          itself LRU-trims the tables back under the configured budget *)
-      Stats.add "server.cache_absorbed"
-        (Milp.cache_journal_length r.t_milp_j
-        + Polyhedra.cache_journal_length r.t_poly_j);
-      Stats.add "server.cache_evicted"
-        (Milp.absorb_cache_journal r.t_milp_j
-        + Polyhedra.absorb_cache_journal r.t_poly_j);
+      Stats.add "server.cache_absorbed" (Memo.journal_length r.t_journal);
+      Stats.add "server.cache_evicted" (Memo.absorb r.t_journal);
       let c = { c_code = r.t_code; c_diags = r.t_diags; c_rung = r.t_rung } in
-      if c.c_code <> None then begin
-        lru_add st job.j_digest c;
-        Store.write_versioned ~version:protocol_version ~kind:store_kind
-          ~key:job.j_digest c
-      end;
+      if c.c_code <> None then Memo.add st.results job.j_digest c;
       let stats = Manifest.counters_to_json r.t_counters in
       answer_waiters job ~f:(fun w ~name ~elapsed ~coalesced ->
           respond_result ~coalesced ~stats w.w_conn w.w_slot ~name ~elapsed c)
@@ -414,73 +386,57 @@ let handle_compile st conn j =
         let digest = request_digest ~options ~strict ~verify ~source in
         let slot = push_slot conn in
         let t0 = Unix.gettimeofday () in
-        let serve_cached c =
-          respond_result ~cached:true conn slot ~name
-            ~elapsed:(Unix.gettimeofday () -. t0)
-            c
-        in
-        (match lru_find st digest with
+        (match Memo.find st.results digest with
         | Some c ->
-            Stats.incr "server.result_cache_hits";
-            serve_cached c
+            respond_result ~cached:true conn slot ~name
+              ~elapsed:(Unix.gettimeofday () -. t0)
+              c
         | None -> (
-            Stats.incr "server.result_cache_misses";
-            match
-              (Store.read_versioned ~version:protocol_version ~kind:store_kind
-                 ~key:digest
-                : cached option)
-            with
-            | Some c ->
-                Stats.incr "server.result_store_hits";
-                lru_add st digest c;
-                serve_cached c
-            | None -> (
-                let waiter =
-                  {
-                    w_conn = conn;
-                    w_slot = slot;
-                    w_name = name;
-                    w_t0 = t0;
-                    w_coalesced = Hashtbl.mem st.inflight digest;
-                  }
-                in
-                match Hashtbl.find_opt st.inflight digest with
-                | Some job ->
-                    (* identical program+options already compiling (or
-                       queued): join it — one compile, every waiter answered
-                       from it *)
-                    Stats.incr "server.dedup_coalesced";
-                    job.j_waiters <- waiter :: job.j_waiters
-                | None ->
-                    (* global admission cap: joining an in-flight compile is
-                       free, but a *new* job needs queue room *)
-                    if Queue.length st.queue >= st.cfg.max_queue then
-                      respond_busy conn slot ~name
-                        (Printf.sprintf
-                           "compile queue full (%d jobs queued); retry or \
-                            compile locally"
-                           st.cfg.max_queue)
-                    else begin
-                      let job =
+            let waiter =
+              {
+                w_conn = conn;
+                w_slot = slot;
+                w_name = name;
+                w_t0 = t0;
+                w_coalesced = Hashtbl.mem st.inflight digest;
+              }
+            in
+            match Hashtbl.find_opt st.inflight digest with
+            | Some job ->
+                (* identical program+options already compiling (or
+                   queued): join it — one compile, every waiter answered
+                   from it *)
+                Stats.incr "server.dedup_coalesced";
+                job.j_waiters <- waiter :: job.j_waiters
+            | None ->
+                (* global admission cap: joining an in-flight compile is
+                   free, but a *new* job needs queue room *)
+                if Queue.length st.queue >= st.cfg.max_queue then
+                  respond_busy conn slot ~name
+                    (Printf.sprintf
+                       "compile queue full (%d jobs queued); retry or \
+                        compile locally"
+                       st.cfg.max_queue)
+                else begin
+                  let job =
+                    {
+                      j_digest = digest;
+                      j_payload =
                         {
-                          j_digest = digest;
-                          j_payload =
-                            {
-                              q_name = name;
-                              q_source = source;
-                              q_options = options;
-                              q_strict = strict;
-                              q_verify = verify;
-                            };
-                          j_waiters = [ waiter ];
-                          j_handle = None;
-                          j_deadline =
-                            Option.map (fun s -> t0 +. s) deadline_s;
-                        }
-                      in
-                      Hashtbl.add st.inflight digest job;
-                      Queue.push job st.queue
-                    end)))
+                          q_name = name;
+                          q_source = source;
+                          q_options = options;
+                          q_strict = strict;
+                          q_verify = verify;
+                        };
+                      j_waiters = [ waiter ];
+                      j_handle = None;
+                      j_deadline = Option.map (fun s -> t0 +. s) deadline_s;
+                    }
+                  in
+                  Hashtbl.add st.inflight digest job;
+                  Queue.push job st.queue
+                end))
     | _ -> bad_request conn "compile request lacks a \"source\" string"
 
 let stats_json st =
@@ -491,8 +447,7 @@ let stats_json st =
     (Manifest.json_string protocol_version)
     (Unix.gettimeofday () -. st.t_start)
     (Hashtbl.length st.inflight) (Queue.length st.queue)
-    (Hashtbl.length st.conns) (Hashtbl.length st.lru)
-    (Milp.cache_entry_count () + Polyhedra.cache_entry_count ())
+    (Hashtbl.length st.conns) (Memo.length st.results) (Memo.entry_count ())
     (Stats.to_json ())
 
 let handle_line st conn line =
@@ -676,13 +631,9 @@ let bind_tcp port =
 let run cfg =
   (* a client gone mid-write must be an EPIPE error on our write, not death *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  (match cfg.solver_cache_entries with
-  | Some n ->
-      (* forked workers inherit the budget, so their tables stay bounded
-         too; the journals they ship back are deltas, re-trimmed on absorb *)
-      Milp.set_cache_budget n;
-      Polyhedra.set_cache_budget n
-  | None -> ());
+  (* forked workers inherit the budget, so their tables stay bounded too;
+     the journals they ship back are deltas, re-trimmed on absorb *)
+  Option.iter Memo.set_budget cfg.solver_cache_entries;
   let listeners =
     bind_unix cfg.socket_path
     :: (match cfg.tcp_port with Some p -> [ bind_tcp p ] | None -> [])
@@ -699,8 +650,7 @@ let run cfg =
       queue = Queue.create ();
       running = [];
       n_running = 0;
-      lru = Hashtbl.create 64;
-      lru_tick = 0;
+      results = result_table cfg;
       draining = ref false;
     }
   in

@@ -31,13 +31,14 @@
     by digest of (protocol version, canonical options, strict, verify,
     source): an identical request arriving while a compile is in flight
     joins it — one compile, every waiter answered from the single result
-    (counter ["server.dedup_coalesced"]).  Finished results enter an
-    in-memory LRU and the persistent {!Store} (kind ["server-result"],
-    sub-versioned by {!protocol_version}), so a restarted daemon serves
-    warm from disk.  Workers inherit the daemon's hot in-memory solver
-    caches by fork and journal what they add ({!Milp.take_cache_journal});
-    the daemon absorbs each delta, so the caches heat up monotonically
-    across requests without ever marshaling whole tables.
+    (counter ["server.dedup_coalesced"]).  Finished results enter a
+    {!Memo} table bounded by [result_cache_entries] and backed by the
+    persistent {!Store} (kind ["server-result"], sub-versioned by
+    {!protocol_version}), so a restarted daemon serves warm from disk.
+    Workers inherit the daemon's hot in-memory solver caches by fork and
+    journal what they add ({!Memo.take_journal}); the daemon absorbs each
+    delta, so the caches heat up monotonically across requests without
+    ever marshaling whole tables.
 
     SIGTERM/SIGINT (or [{"op": "shutdown"}]) starts a graceful drain: stop
     accepting, finish and answer every accepted request, remove the socket
@@ -63,7 +64,7 @@
       excluded from the read set until it drains — real backpressure; the
       daemon's memory per slow reader stays bounded.
     - [solver_cache_entries]: entry budget for the absorbed [Milp] and
-      [Polyhedra] hot caches ({!Milp.set_cache_budget}); LRU eviction,
+      [Polyhedra] hot caches ({!Memo.set_budget}); LRU eviction,
       counted by ["server.cache_evicted"].
 
     A [server-busy]/[bad-request] rejection is a normal Failed manifest
@@ -86,7 +87,7 @@ type config = {
       (** per-request wall-clock budget when the request names none;
           exceeding it kills the worker and answers with the structured
           ["pool-timeout"] diagnostic *)
-  result_cache_entries : int;  (** in-memory result LRU capacity *)
+  result_cache_entries : int;  (** in-memory result table capacity *)
   max_connections : int;
       (** connection cap (default 768 — [Unix.select] tops out at 1024
           descriptors); overflow gets one [server-busy] line and a close *)

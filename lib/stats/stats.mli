@@ -21,16 +21,20 @@
     - ["milp.lp_cache_hits"] / ["milp.lp_cache_misses"] — memoized rational
       LP calls;
     - ["milp.cache_evictions"] — entries LRU-evicted from the in-memory
-      LP/feasibility caches past the {!Milp.set_cache_budget} entry budget;
+      LP/feasibility {!Memo} tables past the {!Memo.set_budget} entry
+      budget;
     - ["poly.empty_cache_hits"] / ["poly.empty_cache_misses"] — memoized
       emptiness tests on canonicalized systems;
     - ["poly.cache_evictions"] — the same eviction counter for the
-      emptiness cache ({!Polyhedra.set_cache_budget});
+      emptiness {!Memo} table;
     - ["fm.eliminations"], ["fm.rows_eliminated"] — Fourier–Motzkin steps and
       the rows they removed;
     - ["machine.simulations"], ["machine.l1_misses"], ["machine.l2_misses"],
       ["machine.mem_accesses"] — performance-model cache events;
     - ["tune.evaluated"], ["tune.cache_hits"], ["tune.pruned"] — autotuner;
+      cache hits are evaluations read back from the store (kind
+      ["tune-eval"]) — the tuner computes in batches on the fork pool, so
+      it skips {!Memo}'s in-memory layer;
     - ["pool.tasks"], ["pool.spawned"], ["pool.crashes"], ["pool.retries"],
       ["pool.timeouts"], ["pool.backoff_waits"], ["pool.eintr_retries"] —
       the shared fork worker pool ([lib/pool]; spawned counts forked
@@ -71,12 +75,12 @@
       the same program+options while it compiles → 1 compile, N−1
       coalesced);
     - ["server.result_cache_hits"] / ["server.result_cache_misses"] — the
-      daemon's in-memory LRU of finished compile results, keyed by the
-      request digest; misses then consult the persistent store
+      daemon's in-memory {!Memo} table of finished compile results, keyed
+      by the request digest; misses then consult the persistent store
       (["server.result_store_hits"] when that saves the compile);
     - ["server.cache_absorbed"] — in-memory solver-cache entries journaled
       by workers and replayed into the daemon's hot tables
-      ({!Milp.absorb_cache_journal}, {!Polyhedra.absorb_cache_journal});
+      ({!Memo.absorb});
     - ["server.failures"] — compile requests answered with status
       ["error"] (including ["server.deadline_expired"], requests whose
       worker was killed at the per-request deadline);

@@ -1,10 +1,12 @@
 (** Sharded, self-healing persistent cache store for the solver substrate.
 
-    The in-memory memo tables of {!Polyhedra} ([is_empty_cached]) and
-    {!Milp} ([feasible_cached], [lp]) die with the process; this store lets
-    them survive across processes — repeated [plutocc] runs, the batch
-    driver's forked workers, CI reruns — so a warm rerun answers repeated
-    integer-emptiness/feasibility/LP probes from disk instead of re-solving.
+    The in-memory {!Memo} tables (the solver caches of {!Polyhedra} and
+    {!Milp}, the daemon's result cache) die with the process; they read
+    through to this store, so their answers survive across processes —
+    repeated [plutocc] runs, the batch driver's forked workers, CI reruns —
+    and a warm rerun answers repeated integer-emptiness/feasibility/LP
+    probes from disk instead of re-solving.  The autotuner's candidate
+    evaluations live here too (kind ["tune-eval"]).
 
     {2 Layout}
 

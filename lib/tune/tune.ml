@@ -227,9 +227,10 @@ let pp_report_summary fmt r =
 
 (* ------------------------- persistent eval cache ------------------------- *)
 
-(* One file per (program, machine, params, options, candidate) key; values
-   are Int64 float bits so a reread is bit-exact.  Any parse problem is a
-   cache miss — never an error. *)
+(* Evaluations live in the persistent {!Store} (plutocc --cache-dir) under
+   kind "tune-eval", one entry per (program, machine, params, options,
+   candidate) key; the store's checksum turns any corrupt entry into a
+   miss, never a wrong cost. *)
 
 let machine_repr (m : Machine.machine_config) =
   Printf.sprintf
@@ -279,63 +280,7 @@ let cache_key ~program_repr ~machine ~params ~options cand =
 (* cached value: (cycles, gflops, degraded, failed) *)
 type payload = float * float * bool * string option
 
-let cache_path dir key = Filename.concat dir (key ^ ".tune")
-
-let cache_read dir key : payload option =
-  let path = cache_path dir key in
-  match open_in path with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          try
-            if input_line ic <> "pluto-tune-cache v1" then None
-            else begin
-              let cycles =
-                Int64.float_of_bits (Int64.of_string (input_line ic))
-              in
-              let gflops =
-                Int64.float_of_bits (Int64.of_string (input_line ic))
-              in
-              let degraded = bool_of_string (input_line ic) in
-              let failed =
-                match input_line ic with
-                | "-" -> None
-                | s -> Some (Scanf.unescaped s)
-              in
-              Some (cycles, gflops, degraded, failed)
-            end
-          with
-          | End_of_file | Failure _ | Invalid_argument _
-          | Scanf.Scan_failure _ ->
-              None)
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error ((Unix.EEXIST | Unix.EISDIR), _, _) -> ()
-  end
-
-let cache_write dir key ((cycles, gflops, degraded, failed) : payload) =
-  try
-    mkdir_p dir;
-    let path = cache_path dir key in
-    let tmp =
-      Printf.sprintf "%s.%d.tmp" path (Unix.getpid ())
-    in
-    let oc = open_out tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        Printf.fprintf oc "pluto-tune-cache v1\n%Ld\n%Ld\n%b\n%s\n"
-          (Int64.bits_of_float cycles)
-          (Int64.bits_of_float gflops)
-          degraded
-          (match failed with None -> "-" | Some m -> String.escaped m));
-    Sys.rename tmp path
-  with Sys_error _ | Unix.Unix_error _ -> () (* caching is best-effort *)
+let eval_kind = "tune-eval"
 
 (* ------------------------ candidate evaluation --------------------------- *)
 
@@ -409,14 +354,17 @@ let evaluate ~options ~machine ~params_vec ~candidate_time_s program cand :
    fresh worker) and is folded into the candidate's failure slot, so the
    search keeps its historical "a bad candidate never kills the search"
    contract.  Timeouts stay inside [evaluate] ([with_wall_budget]), which
-   distinguishes a slow candidate from a crashed worker. *)
-let run_pool ~jobs (tasks : (int * candidate) list) (eval : candidate -> payload)
-    : (int * payload) list =
+   distinguishes a slow candidate from a crashed worker.  Only evaluations
+   that came back are passed to [save]: a crashed worker is not cached. *)
+let run_pool ~jobs ~save (tasks : (int * candidate) list)
+    (eval : candidate -> payload) : (int * payload) list =
   let outcomes = Pool.map ~jobs ~f:(fun (_, c) -> eval c) tasks in
   List.map2
-    (fun (i, _) (o : payload Pool.outcome) ->
+    (fun (i, c) (o : payload Pool.outcome) ->
       match o.Pool.value with
-      | Ok p -> (i, p)
+      | Ok p ->
+          save c p;
+          (i, p)
       | Error d ->
           (i, (infinity, 0.0, false, Some ("worker: " ^ d.Diag.message))))
     tasks outcomes
@@ -438,7 +386,7 @@ let shuffle rng l =
 
 let search ?(options = Driver.default_options)
     ?(machine = Machine.default_machine) ?(jobs = 1) ?(budget = 24)
-    ?(candidate_time_s = 20.0) ?cache_dir ?(seed = Putil.Seed.default)
+    ?(candidate_time_s = 20.0) ?(seed = Putil.Seed.default)
     ?(params = []) (program : Ir.program) =
   let t0 = Unix.gettimeofday () in
   let rng = Putil.Seed.state seed in
@@ -486,28 +434,14 @@ let search ?(options = Driver.default_options)
     | l -> Putil.take budget l
   in
   let indexed = List.mapi (fun i c -> (i, c)) chosen in
-  (* cache probe (sequential, cheap) *)
-  let key_of =
-    let tbl = Hashtbl.create 32 in
-    fun c ->
-      match Hashtbl.find_opt tbl c with
-      | Some k -> k
-      | None ->
-          let k =
-            cache_key ~program_repr ~machine ~params:assoc ~options c
-          in
-          Hashtbl.replace tbl c k;
-          k
-  in
+  (* store probe (sequential, cheap) *)
+  let key c = cache_key ~program_repr ~machine ~params:assoc ~options c in
   let cached, to_eval =
     List.partition_map
       (fun (i, c) ->
-        match cache_dir with
-        | None -> Right (i, c)
-        | Some dir -> (
-            match cache_read dir (key_of c) with
-            | Some p -> Left (i, c, p)
-            | None -> Right (i, c)))
+        match (Store.read ~kind:eval_kind ~key:(key c) : payload option) with
+        | Some p -> Left (i, c, p)
+        | None -> Right (i, c))
       indexed
   in
   Stats.add "tune.cache_hits" (List.length cached);
@@ -515,19 +449,11 @@ let search ?(options = Driver.default_options)
   let eval c =
     evaluate ~options ~machine ~params_vec ~candidate_time_s program c
   in
-  let fresh = run_pool ~jobs to_eval eval in
-  (* persist fresh results *)
-  (match cache_dir with
-  | None -> ()
-  | Some dir ->
-      let cand_of = Hashtbl.create 32 in
-      List.iter (fun (i, c) -> Hashtbl.replace cand_of i c) to_eval;
-      List.iter
-        (fun (i, p) ->
-          match Hashtbl.find_opt cand_of i with
-          | Some c -> cache_write dir (key_of c) p
-          | None -> ())
-        fresh);
+  let fresh =
+    run_pool ~jobs
+      ~save:(fun c p -> Store.write ~kind:eval_kind ~key:(key c) p)
+      to_eval eval
+  in
   let outcomes =
     let tbl = Hashtbl.create 32 in
     List.iter

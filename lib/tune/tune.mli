@@ -24,10 +24,11 @@
       parameter values — on a [Unix.fork] worker pool ([~jobs]), each under
       a wall-clock budget that feeds the existing {!Diag.Budget_exceeded}
       degradation ladder;
-    + memoizes evaluations in a persistent on-disk cache keyed by
-      (program digest, candidate, machine config, parameters), so repeated
-      [plutocc --tune] invocations and the bench harness amortize work: a
-      warm-cache rerun performs zero evaluations.
+    + memoizes evaluations in the persistent {!Store} (kind ["tune-eval"],
+      keyed by program digest, candidate, machine config, parameters and
+      options) whenever a store is enabled ([plutocc --cache-dir]), so a
+      warm rerun performs zero evaluations.  A worker crash is never
+      cached.
 
     The result is the best *verified* variant, plus a full report. *)
 
@@ -118,8 +119,6 @@ val pp_report_summary : Format.formatter -> report -> unit
       the default and T=64 anchors are always kept
     @param candidate_time_s per-candidate wall-clock budget in seconds
       (default 20.); exhaustion degrades/fails that candidate only
-    @param cache_dir persistent evaluation cache directory (created on
-      demand); omit to disable caching
     @param seed search-order seed (default {!Putil.Seed.default}; the CLI
       passes the [PLUTO_FUZZ_SEED] resolution)
     @param params parameter values for the oracle; parameters of the program
@@ -130,7 +129,6 @@ val search :
   ?jobs:int ->
   ?budget:int ->
   ?candidate_time_s:float ->
-  ?cache_dir:string ->
   ?seed:int ->
   ?params:(string * int) list ->
   Ir.program ->

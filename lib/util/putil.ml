@@ -58,35 +58,6 @@ let string_of_format pp x = Format.asprintf "%a" pp x
 let rec fixpoint step state =
   match step state with None -> state | Some state' -> fixpoint step state'
 
-(* Shared LRU-trimming step for the budgeted in-memory caches (Milp's
-   lp/feasibility tables, Polyhedra's emptiness table): values carry a
-   recency tick, and trimming removes the smallest ticks first.  One full
-   scan + sort per call; callers amortize by trimming a slack below their
-   budget so the next trim is many inserts away. *)
-module Lru = struct
-  let trim (tbl : ('k, 'v) Hashtbl.t) ~budget ~(tick : 'v -> int) =
-    let n = Hashtbl.length tbl in
-    let budget = max 0 budget in
-    if n <= budget then 0
-    else begin
-      let entries = Array.make n (None, 0) in
-      let i = ref 0 in
-      Hashtbl.iter
-        (fun k v ->
-          entries.(!i) <- (Some k, tick v);
-          incr i)
-        tbl;
-      Array.sort (fun (_, a) (_, b) -> compare a b) entries;
-      let drop = n - budget in
-      for j = 0 to drop - 1 do
-        match fst entries.(j) with
-        | Some k -> Hashtbl.remove tbl k
-        | None -> ()
-      done;
-      drop
-    end
-end
-
 (** A counter-based fresh-name generator. *)
 (* The single source of deterministic randomness for the whole repository:
    the fuzz suites, the differential tester and the autotuner's search order

@@ -48,16 +48,6 @@ module Seed : sig
   val state : int -> Random.State.t
 end
 
-(** One shared primitive behind every budgeted in-memory cache: hashtables
-    whose values carry a recency tick, trimmed oldest-first. *)
-module Lru : sig
-  (** [trim tbl ~budget ~tick] removes the entries with the smallest
-      [tick v] until [Hashtbl.length tbl <= budget]; returns how many were
-      removed.  O(n log n) in the table size — callers trim to a slack
-      below their trigger threshold so the cost amortizes across inserts. *)
-  val trim : ('k, 'v) Hashtbl.t -> budget:int -> tick:('v -> int) -> int
-end
-
 module Fresh : sig
   type t
 

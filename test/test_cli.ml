@@ -69,9 +69,9 @@ let test_tune_flag () =
         let cache = Filename.concat dir "cache" in
         let cmd =
           Printf.sprintf
-            "PLUTO_FUZZ_SEED=5 PLUTO_TUNE_CACHE=%s %s %s --tune \
-             --tune-budget 6 --jobs 2 --tune-report %s --stats -o %s/out.c"
-            cache plutocc src report dir
+            "PLUTO_FUZZ_SEED=5 %s %s --tune --cache-dir %s --tune-budget 6 \
+             --jobs 2 --tune-report %s --stats -o %s/out.c"
+            plutocc src cache report dir
         in
         Alcotest.(check int) "tune exits 0" 0 (run cmd);
         let ic = open_in report in

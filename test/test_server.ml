@@ -694,6 +694,37 @@ let test_solver_cache_eviction () =
           Alcotest.(check bool) "shutdown" true (Client.shutdown ~socket);
           Alcotest.(check bool) "exit 0" true (wait_exit pid = Unix.WEXITED 0)))
 
+(* --result-cache 16: sixty never-repeated whitespace variants interleaved
+   with one hot kernel.  The table never holds more than 16 results, and
+   the hot kernel — touched every other request — is never the one
+   evicted: every hot request is a result-cache hit. *)
+let test_result_cache_bound () =
+  Pool.with_temp_dir ~prefix:"server" (fun dir ->
+      let socket = Filename.concat dir "d.sock" in
+      with_daemon ~socket
+        ~tweak:(fun c -> { c with Server.result_cache_entries = 16 })
+        (fun pid ->
+          ignore (compile_ok ~socket ~name:"hot.c" matmul_src);
+          let hot = 60 in
+          for i = 1 to hot do
+            ignore
+              (compile_ok ~socket ~name:"v.c"
+                 (matmul_src ^ String.make i ' '));
+            let r = compile_ok ~socket ~name:"hot.c" matmul_src in
+            Alcotest.(check bool)
+              (Printf.sprintf "hot request %d served from the cache" i)
+              true r.Client.r_cached;
+            let entries = daemon_stat_field ~socket "result_cache_entries" in
+            Alcotest.(check bool)
+              (Printf.sprintf "result cache bounded (%d entries)" entries)
+              true
+              (entries >= 1 && entries <= 16)
+          done;
+          Alcotest.(check int) "one result-cache hit per hot request" hot
+            (daemon_counter ~socket "server.result_cache_hits");
+          Alcotest.(check bool) "shutdown" true (Client.shutdown ~socket);
+          Alcotest.(check bool) "exit 0" true (wait_exit pid = Unix.WEXITED 0)))
+
 (* A client that pipelines hundreds of cache-hit requests without reading:
    once its unread responses exceed --max-output-bytes the daemon must stop
    READING from it (server.slow_reader_stalls) instead of buffering without
@@ -939,6 +970,8 @@ let suite =
         test_queue_cap_busy;
       Fixtures.stats_case "solver caches evict under --solver-cache-entries"
         `Quick test_solver_cache_eviction;
+      Fixtures.stats_case "result cache stays under --result-cache" `Quick
+        test_result_cache_bound;
       Fixtures.stats_case "slow reader hits output backpressure" `Quick
         test_slow_reader_backpressure;
       Fixtures.stats_case "chaos on server fault sites" `Quick

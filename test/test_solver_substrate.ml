@@ -174,19 +174,19 @@ let test_compile_identical_and_cheaper () =
 (* LRU budgets: the in-memory solver caches stay under their entry budget
    through a stream of distinct probes, entries that were evicted recompute
    to the same answers, and journal absorption reports how much it evicted. *)
-let test_cache_budgets () =
+let clear_solver_caches () =
   Milp.clear_caches ();
-  Polyhedra.clear_caches ();
+  Polyhedra.clear_caches ()
+
+let test_cache_budgets () =
+  clear_solver_caches ();
   Fun.protect
     ~finally:(fun () ->
-      Milp.set_cache_budget 100_000;
-      Polyhedra.set_cache_budget 100_000;
-      Milp.set_cache_journal false;
-      Milp.clear_caches ();
-      Polyhedra.clear_caches ())
+      Memo.set_budget 100_000;
+      Memo.set_journal false;
+      clear_solver_caches ())
     (fun () ->
-      Milp.set_cache_budget 16;
-      Polyhedra.set_cache_budget 16;
+      Memo.set_budget 16;
       let rng = Gen.state_of_seed (Gen.seed_of_env ()) in
       let systems = List.init 120 (fun _ -> rand_system rng) in
       (* feasibility + emptiness are deterministic semantics; witnesses can
@@ -196,16 +196,12 @@ let test_cache_budgets () =
         (Milp.feasible_cached sys <> None, Polyhedra.is_empty_cached sys)
       in
       let first = List.map probe systems in
+      (* 16 per table: LP, integer feasibility, emptiness *)
       Alcotest.(check bool)
-        (Printf.sprintf "milp caches bounded by the budget (%d entries)"
-           (Milp.cache_entry_count ()))
+        (Printf.sprintf "solver caches bounded by the budget (%d entries)"
+           (Memo.entry_count ()))
         true
-        (Milp.cache_entry_count () <= 32 (* 16 per table, two tables *));
-      Alcotest.(check bool)
-        (Printf.sprintf "emptiness cache bounded by the budget (%d entries)"
-           (Polyhedra.cache_entry_count ()))
-        true
-        (Polyhedra.cache_entry_count () <= 16);
+        (Memo.entry_count () <= 48);
       Alcotest.(check bool) "evictions were counted" true
         (Stats.counter "milp.cache_evictions" > 0
         && Stats.counter "poly.cache_evictions" > 0);
@@ -214,17 +210,54 @@ let test_cache_budgets () =
         "evicted entries recompute to the same answers" true (first = second);
       (* a journal bigger than the budget is absorbed, trimmed, and the
          eviction count reported to the caller *)
-      Milp.set_cache_journal true;
-      Milp.clear_caches ();
-      List.iter (fun sys -> ignore (Milp.feasible_cached sys)) systems;
-      let journal = Milp.take_cache_journal () in
-      Milp.set_cache_journal false;
-      Milp.clear_caches ();
-      let evicted = Milp.absorb_cache_journal journal in
+      Memo.set_journal true;
+      clear_solver_caches ();
+      List.iter (fun sys -> ignore (probe sys)) systems;
+      let journal = Memo.take_journal () in
+      Memo.set_journal false;
+      clear_solver_caches ();
+      let evicted = Memo.absorb journal in
       Alcotest.(check bool) "oversized journal reports evictions" true
         (evicted > 0);
       Alcotest.(check bool) "absorbed tables stay under budget" true
-        (Milp.cache_entry_count () <= 32))
+        (Memo.entry_count () <= 48))
+
+(* A compute that raises leaves nothing behind — no memory entry, no store
+   entry, no journal entry — and the next call with room to finish
+   computes the answer and caches it everywhere. *)
+let test_failed_compute_uncached () =
+  let box =
+    Polyhedra.of_constrs 1
+      [ Polyhedra.ge_ints [ 1; 0 ]; Polyhedra.ge_ints [ -1; 5 ] ]
+  in
+  Pool.with_temp_dir ~prefix:"memo" (fun dir ->
+      clear_solver_caches ();
+      Store.set_dir (Some dir);
+      Memo.set_journal true;
+      Fun.protect
+        ~finally:(fun () ->
+          Memo.set_journal false;
+          Store.set_dir None;
+          clear_solver_caches ())
+        (fun () ->
+          let no_nodes = { Milp.max_nodes = 0; time_limit_s = None } in
+          (match Milp.feasible_cached ~budget:no_nodes box with
+          | _ -> Alcotest.fail "a zero-node budget must raise"
+          | exception Diag.Budget_exceeded _ -> ());
+          Alcotest.(check int) "no memory entry" 0 (Memo.entry_count ());
+          Alcotest.(check int) "no store entry" 0 (Store.usage_bytes ());
+          Alcotest.(check int) "no journal entry" 0
+            (Memo.journal_length (Memo.take_journal ()));
+          Alcotest.(check bool) "default budget finds a point" true
+            (Milp.feasible_cached box <> None);
+          Alcotest.(check int) "memory entry" 1 (Memo.entry_count ());
+          Alcotest.(check bool) "store entry" true (Store.usage_bytes () > 0);
+          Alcotest.(check int) "journal entry" 1
+            (Memo.journal_length (Memo.take_journal ()));
+          let hits = Stats.counter "milp.feasible_cache_hits" in
+          ignore (Milp.feasible_cached ~budget:no_nodes box);
+          Alcotest.(check int) "the cached answer needs no solve" (hits + 1)
+            (Stats.counter "milp.feasible_cache_hits")))
 
 let suite =
   ( "solver-substrate",
@@ -240,4 +273,6 @@ let suite =
         test_compile_identical_and_cheaper;
       Alcotest.test_case "cache budgets bound and evict" `Quick
         test_cache_budgets;
+      Alcotest.test_case "failed compute leaves no cache entry" `Quick
+        test_failed_compute_uncached;
     ] )

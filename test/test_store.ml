@@ -228,6 +228,40 @@ let test_concurrent_writers () =
       Alcotest.(check (list string))
         "no orphans after GC" [] (files_with_suffix dir ".tmp"))
 
+(* A Memo table looks in memory, then the store, then computes; past its
+   budget of 16 it trims the oldest entries down to 14 (budget - budget/8),
+   so an entry touched on every round survives. *)
+let test_memo_policy () =
+  with_store (fun _dir ->
+      let t : int Memo.t =
+        Memo.create ~kind:"memo-test" ~budget:16 ~hits:"memo.hits"
+          ~misses:"memo.misses" ~evictions:"memo.evictions" ()
+      in
+      let computed = ref 0 in
+      let square i =
+        Memo.lookup t (string_of_int i) (fun () ->
+            incr computed;
+            i * i)
+      in
+      Alcotest.(check int) "computed" 49 (square 7);
+      Alcotest.(check int) "memory hit" 49 (square 7);
+      Memo.clear t;
+      Alcotest.(check int) "store hit" 49 (square 7);
+      Alcotest.(check int) "computed once" 1 !computed;
+      for i = 101 to 116 do
+        ignore (square i);
+        ignore (square 7)
+      done;
+      Alcotest.(check int) "trimmed to budget - budget/8" 14 (Memo.length t);
+      Alcotest.(check int) "evictions counted" 3 (counter_of "memo.evictions");
+      let hits = counter_of "memo.hits" in
+      ignore (square 7);
+      Alcotest.(check int) "the hot entry survived" (hits + 1)
+        (counter_of "memo.hits");
+      Alcotest.(check int) "an evicted entry comes back from the store" 10201
+        (square 101);
+      Alcotest.(check int) "no recompute" 17 !computed)
+
 (* PLUTO_FAULT_* environment round-trip. *)
 let test_fault_env () =
   let clear () =
@@ -283,5 +317,6 @@ let suite =
         test_lru_eviction;
       Alcotest.test_case "concurrent writers share one store" `Quick
         test_concurrent_writers;
+      Fixtures.stats_case "memo lookup order and trim" `Quick test_memo_policy;
       Alcotest.test_case "fault env knobs parse" `Quick test_fault_env;
     ] )

@@ -5,9 +5,13 @@
 
 let mc = Machine.default_machine
 
-(* small, fast searches: all program parameters default to 64 *)
+(* small, fast searches: all program parameters default to 64; with
+   [cache_dir] the search memoizes into a store in that directory *)
 let search ?cache_dir ?(jobs = 1) ?(budget = 6) ?(seed = 7) p =
-  Tune.search ~jobs ~budget ~candidate_time_s:30.0 ?cache_dir ~seed p
+  Store.set_dir cache_dir;
+  Fun.protect
+    ~finally:(fun () -> Store.set_dir None)
+    (fun () -> Tune.search ~jobs ~budget ~candidate_time_s:30.0 ~seed p)
 
 let outcome_sig (o : Tune.outcome) =
   ( Tune.candidate_to_string o.Tune.o_cand,
@@ -120,21 +124,62 @@ let test_cache_warm_rerun () =
       Alcotest.(check bool) "warm outcomes marked from_cache" true
         (List.for_all (fun o -> o.Tune.o_from_cache) warm.Tune.r_outcomes))
 
+(* Bit rot must cost a re-evaluation, never a wrong cost.  Flipping the low
+   bit of byte 25 of a text-format entry changed one digit of its cycles
+   line — still a valid number, so it was served as a hit with a wrong
+   cost.  Under the store's checksum every flipped entry is a miss. *)
 let test_cache_corruption_is_miss () =
   with_temp_dir (fun dir ->
       let p = Kernels.program Kernels.jacobi_1d in
-      let _ = search ~cache_dir:dir ~seed:19 p in
-      (* truncate every cache entry: the next run must silently re-evaluate *)
-      Array.iter
+      let cold, _ = search ~cache_dir:dir ~seed:19 p in
+      let rec files d =
+        List.concat_map
+          (fun f ->
+            let path = Filename.concat d f in
+            if Sys.is_directory path then files path else [ path ])
+          (Array.to_list (Sys.readdir d))
+      in
+      List.iter
         (fun f ->
-          let oc = open_out (Filename.concat dir f) in
-          output_string oc "garbage\n";
-          close_out oc)
-        (Sys.readdir dir);
+          let b = Bytes.of_string (In_channel.with_open_bin f In_channel.input_all) in
+          if Bytes.length b > 25 then begin
+            Bytes.set b 25 (Char.chr (Char.code (Bytes.get b 25) lxor 0x01));
+            Out_channel.with_open_bin f (fun oc -> Out_channel.output_bytes oc b)
+          end)
+        (files dir);
       let again, _ = search ~cache_dir:dir ~seed:19 p in
       Alcotest.(check int) "corrupt cache gives no hits" 0
         again.Tune.r_cache_hits;
-      Alcotest.(check bool) "still evaluates" true (again.Tune.r_evaluated > 0))
+      Alcotest.(check bool) "still evaluates" true (again.Tune.r_evaluated > 0);
+      Alcotest.(check bool) "re-evaluated costs match the cold run" true
+        (report_sig cold = report_sig again))
+
+(* A crashed worker is not an evaluation: with every worker killed, the
+   search caches nothing, and the next run evaluates every candidate. *)
+let test_worker_crash_not_cached () =
+  with_temp_dir (fun dir ->
+      let p = Kernels.program Kernels.jacobi_1d in
+      let crashed, _ =
+        Fun.protect
+          ~finally:(fun () -> Fault.install None)
+          (fun () ->
+            Fault.install
+              (Some
+                 {
+                   Fault.seed = 1;
+                   rate = 1.0;
+                   only = [ "pool.worker.kill" ];
+                   fail_at = [];
+                 });
+            search ~cache_dir:dir ~jobs:2 ~seed:29 p)
+      in
+      Alcotest.(check bool) "every candidate crashed" true
+        (List.for_all (fun o -> o.Tune.o_failed <> None) crashed.Tune.r_outcomes);
+      let again, _ = search ~cache_dir:dir ~jobs:2 ~seed:29 p in
+      Alcotest.(check int) "no crash was cached" 0 again.Tune.r_cache_hits;
+      Alcotest.(check int) "every candidate evaluated"
+        (List.length again.Tune.r_outcomes)
+        again.Tune.r_evaluated)
 
 (* ------------------------- tuned beats baselines -------------------------- *)
 
@@ -209,6 +254,8 @@ let suite =
       Alcotest.test_case "fork pool = sequential" `Slow test_pool_matches_sequential;
       Alcotest.test_case "warm cache skips evaluation" `Slow test_cache_warm_rerun;
       Alcotest.test_case "corrupt cache = miss" `Slow test_cache_corruption_is_miss;
+      Alcotest.test_case "worker crash is not cached" `Slow
+        test_worker_crash_not_cached;
       Alcotest.test_case "tuned beats baselines (jacobi)" `Slow test_tuned_wins_jacobi;
       Alcotest.test_case "tuned beats baselines (matmul)" `Slow test_tuned_wins_matmul;
       Alcotest.test_case "unroll-jam annotation" `Quick test_unroll_jam_annotation;
