@@ -11,11 +11,7 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* Render diagnostics to stderr, with source excerpts when [src] is given. *)
 let render ?src ds =
@@ -53,25 +49,6 @@ exception Cli_error of Diag.t
 
 let cli_error fmt = Printf.ksprintf (fun m -> raise (Cli_error (Diag.error ~code:"cli" m))) fmt
 
-(* "64M", "512k", "2G" or plain bytes. *)
-let parse_size spec =
-  let s = String.trim spec in
-  let n = String.length s in
-  if n = 0 then cli_error "--cache-size: empty size"
-  else
-    let mult, digits =
-      match s.[n - 1] with
-      | 'k' | 'K' -> (1024, String.sub s 0 (n - 1))
-      | 'm' | 'M' -> (1024 * 1024, String.sub s 0 (n - 1))
-      | 'g' | 'G' -> (1024 * 1024 * 1024, String.sub s 0 (n - 1))
-      | _ -> (1, s)
-    in
-    match int_of_string_opt (String.trim digits) with
-    | Some v when v > 0 -> v * mult
-    | _ ->
-        cli_error "--cache-size: %S is not a positive size (try 64M, 512K, 2G)"
-          spec
-
 let no_daemon_note sock =
   render
     [
@@ -87,7 +64,7 @@ let finish_batch ~output ~batch_manifest (m : Batch.manifest) =
     (fun (e : Batch.entry) ->
       render e.Batch.e_diags;
       Format.eprintf "%s: %s (%s, %.2fs)@." e.Batch.e_file
-        (Batch.status_name e.Batch.e_status)
+        (Manifest.status_name e.Batch.e_status)
         e.Batch.e_rung e.Batch.e_elapsed_s)
     m.Batch.m_entries;
   (match batch_manifest with
@@ -96,7 +73,7 @@ let finish_batch ~output ~batch_manifest (m : Batch.manifest) =
       let oc = open_out path in
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (Batch.manifest_to_json m)));
+        (fun () -> output_string oc (Manifest.manifest_to_json m)));
   (* without -o the generated code still has somewhere to go: stdout, each
      file prefixed so the concatenation stays attributable *)
   if output = None then
@@ -129,26 +106,6 @@ let run_batch ~files ~output ~options ~strict ~verify ~jobs ~batch_manifest
 let run_batch_daemon fd ~files ~output ~options ~strict ~verify
     ~batch_manifest ~batch_timeout =
   let t0 = Unix.gettimeofday () in
-  let compile_local file src t1 =
-    let t = Batch.compile_one ~options ~strict ~verify (file, src) in
-    let status =
-      match t.Batch.t_code with
-      | None -> Batch.Failed
-      | Some _ ->
-          if Driver.degraded t.Batch.t_diags then Batch.Degraded
-          else Batch.Success
-    in
-    {
-      Batch.e_file = file;
-      e_status = status;
-      e_rung = t.Batch.t_rung;
-      e_diags = t.Batch.t_diags;
-      e_code = t.Batch.t_code;
-      e_output = None;
-      e_elapsed_s = Unix.gettimeofday () -. t1;
-      e_retried = false;
-    }
-  in
   let entries =
     List.map
       (fun file ->
@@ -161,24 +118,25 @@ let run_batch_daemon fd ~files ~output ~options ~strict ~verify
               Client.compile_fd fd ?deadline_s:batch_timeout ~strict ~verify
                 ~options ~name:file ~source:src ()
             with
-            | Ok resp when Client.is_busy resp ->
+            | Ok resp when not (Client.is_busy resp) ->
+                { resp.Client.r_entry with Batch.e_file = file }
+            | answer ->
                 render
                   [
-                    Diag.note ~code:"server-busy"
-                      (Printf.sprintf
-                         "daemon is at capacity for %s; compiling locally"
-                         file);
+                    (match answer with
+                    | Error msg ->
+                        Diag.warningf ~code:"server"
+                          "daemon request for %s failed (%s); compiling locally"
+                          file msg
+                    | Ok _ ->
+                        Diag.note ~code:"server-busy"
+                          (Printf.sprintf
+                             "daemon is at capacity for %s; compiling locally"
+                             file));
                   ];
-                compile_local file src t1
-            | Ok resp -> { resp.Client.r_entry with Batch.e_file = file }
-            | Error msg ->
-                render
-                  [
-                    Diag.warningf ~code:"server"
-                      "daemon request for %s failed (%s); compiling locally"
-                      file msg;
-                  ];
-                compile_local file src t1))
+                let t = Batch.compile_one ~options ~strict ~verify (file, src) in
+                Manifest.entry ~file ~rung:t.Batch.t_rung ~diags:t.Batch.t_diags
+                  ~elapsed:(Unix.gettimeofday () -. t1) t.Batch.t_code))
       files
   in
   let entries = List.map (Batch.write_output output) entries in
@@ -191,40 +149,18 @@ let run_batch_daemon fd ~files ~output ~options ~strict ~verify
       m_counters = Stats.counters ();
     }
 
-let run files output show_deps show_transform no_tile tile_size no_parallel
-    wavefront no_intra_reorder no_input_deps unroll_jam check params_spec
+let run files output show_deps show_transform options check params_spec
     simulate cores native strict verify break_schedule tune tune_report jobs
     tune_budget stats stats_json cold_solver batch batch_manifest batch_timeout
-    cache_dir cache_size fast_schedule break_fastpath reductions connect =
+    cache_dir cache_size connect =
   if cold_solver then begin
     Milp.set_warm false;
     Polyhedra.set_empty_cache false
   end;
   Store.set_dir cache_dir;
-  let options =
-    {
-      Driver.default_options with
-      Driver.tile = not no_tile;
-      tile_size;
-      unroll_jam;
-      parallelize = not no_parallel;
-      wavefront;
-      intra_reorder = not no_intra_reorder;
-      auto =
-        {
-          Pluto.Auto.default_config with
-          Pluto.Auto.input_deps = not no_input_deps;
-        };
-      fast_schedule;
-      break_fastpath;
-      reductions;
-    }
-  in
+  if cache_size <> None then Store.set_budget cache_size;
   let code =
     try
-    (match cache_size with
-    | None -> ()
-    | Some spec -> Store.set_budget (Some (parse_size spec)));
     if batch then begin
       match connect with
       | Some sock -> (
@@ -438,7 +374,7 @@ let run files output show_deps show_transform no_tile tile_size no_parallel
                      reassociation; everything else stays bit-exact. *)
                   let tolerance =
                     if
-                      reductions
+                      options.Driver.reductions
                       && List.exists
                            (fun d -> d.Deps.reduction)
                            r.Driver.deps
@@ -562,35 +498,6 @@ let show_transform_arg =
     value & flag
     & info [ "show-transform" ] ~doc:"Print the computed transformation to stderr.")
 
-let no_tile_arg =
-  Arg.(value & flag & info [ "no-tile" ] ~doc:"Disable tiling (Algorithm 1).")
-
-let tile_size_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "tile-size" ] ~docv:"T" ~doc:"Uniform tile size (default: rough cache model).")
-
-let no_parallel_arg =
-  Arg.(value & flag & info [ "no-parallel" ] ~doc:"Do not mark loops for OpenMP.")
-
-let wavefront_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "wavefront" ] ~docv:"M"
-        ~doc:"Degrees of pipelined parallelism to extract (Algorithm 2).")
-
-let no_intra_arg =
-  Arg.(
-    value & flag
-    & info [ "no-intra-reorder" ]
-        ~doc:"Disable the intra-tile reordering post-pass (section 5.4).")
-
-let no_input_deps_arg =
-  Arg.(
-    value & flag
-    & info [ "no-rar" ] ~doc:"Ignore read-after-read dependences in the cost function.")
-
 let check_arg =
   Arg.(
     value & flag
@@ -609,7 +516,10 @@ let simulate_arg =
         ~doc:"Run the multicore performance simulation (needs --params).")
 
 let cores_arg =
-  Arg.(value & opt int 4 & info [ "cores" ] ~docv:"K" ~doc:"Simulated core count.")
+  Arg.(
+    value
+    & opt (Conv.int_at_least 1) 4
+    & info [ "cores" ] ~docv:"K" ~doc:"Simulated core count.")
 
 let native_arg =
   Arg.(
@@ -636,15 +546,6 @@ let verify_arg =
            over the dependence polyhedra) and that the generated loop nest \
            scans exactly the original iteration domain.  Parameter values \
            come from --params (default 6).  Exit 1 if validation fails.")
-
-let unroll_jam_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "unroll-jam" ] ~docv:"F"
-        ~doc:
-          "Unroll-jam factor for the innermost parallel/vectorizable loop \
-           (annotation priced by the simulator and emitted as a pragma; 1 = \
-           off).")
 
 let tune_arg =
   Arg.(
@@ -719,7 +620,7 @@ let cache_dir_arg =
 let cache_size_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some Conv.size) None
     & info [ "cache-size" ] ~docv:"BYTES"
         ~doc:
           "Byte budget for $(b,--cache-dir) (suffixes K/M/G accepted, e.g. \
@@ -781,48 +682,32 @@ let cold_solver_arg =
   Arg.(
     value & flag & info [ "cold-solver" ] ~doc:"" ~docs:Cmdliner.Manpage.s_none)
 
-let fast_schedule_arg =
-  Arg.(
-    value
-    & vflag true
-        [
-          ( true,
-            info [ "fast-schedule" ]
-              ~doc:
-                "Try the fast fusion/dimension-matching scheduler before the \
-                 exact per-hyperplane ILP (the default).  Accepted schedules \
-                 are translation-validated first; anything else falls back \
-                 to the ILP with a fastpath-rejected warning (still exit \
-                 0)." );
-          ( false,
-            info [ "no-fast-schedule" ]
-              ~doc:
-                "Always use the exact per-hyperplane ILP search (skip the \
-                 fast scheduling path)." );
-        ])
-
-(* Deliberately undocumented: sabotage hook for exercising the fast path's
-   rejection machinery — corrupts any accepted fast schedule before
-   validation, so the validator must catch it and the ILP must take over. *)
-let break_fastpath_arg =
-  Arg.(
-    value & flag
-    & info [ "break-fastpath" ] ~doc:"" ~docs:Cmdliner.Manpage.s_none)
-
-let reductions_arg =
-  Arg.(
-    value & flag
-    & info [ "reductions" ]
-        ~doc:
-          "Reduction-aware compilation: detect associative/commutative \
-           self-updates (sums, products, histograms), relax their \
-           self-dependences during scheduling so the surrounding loops can \
-           be parallelized, and emit OpenMP reduction(op:array) clauses on \
-           parallel loops that carry them.  Execution then matches the \
-           original order up to floating-point reassociation rather than \
-           bit-exactly ($(b,--check) compares with a small relative \
-           tolerance for such programs).  Off by default; without this flag \
-           output is bit-identical to previous releases.")
+(* The compile-option flags: one per [cli] entry of
+   {!Driver.option_fields}, each folded over the default options. *)
+let options_term =
+  let flag_info f flag ?docv doc =
+    let docs = if doc = "" then Some Manpage.s_none else None in
+    Arg.info [ Driver.cli_flag f flag ] ?docv ~doc ?docs
+  in
+  let arg (type a) (f : a Driver.field) cli : a Term.t =
+    let default = f.Driver.get Driver.default_options in
+    let in_range = Conv.int_at_least f.Driver.min in
+    match (f.Driver.kind, cli) with
+    | Driver.Bool, Driver.Switches l ->
+        let switch (flag, v, doc) = (v, flag_info f flag doc) in
+        Arg.value (Arg.vflag default (List.map switch l))
+    | Driver.Int, Driver.Value { flag; docv; doc } ->
+        Arg.value (Arg.opt in_range default (flag_info f flag ~docv doc))
+    | Driver.Int_opt, Driver.Value { flag; docv; doc } ->
+        Arg.value (Arg.opt (Arg.some in_range) default (flag_info f flag ~docv doc))
+    | _ -> invalid_arg ("no command-line spelling for " ^ f.Driver.key)
+  in
+  List.fold_left
+    (fun acc (Driver.Field f) ->
+      match f.Driver.cli with
+      | None -> acc
+      | Some cli -> Term.(const (fun v o -> f.Driver.set o v) $ arg f cli $ acc))
+    (Term.const Driver.default_options) Driver.option_fields
 
 let cmd =
   let doc = "automatic polyhedral parallelizer and locality optimizer" in
@@ -830,13 +715,10 @@ let cmd =
   Cmd.v info
     Term.(
       const run $ files_arg $ output_arg $ show_deps_arg $ show_transform_arg
-      $ no_tile_arg $ tile_size_arg $ no_parallel_arg $ wavefront_arg
-      $ no_intra_arg $ no_input_deps_arg $ unroll_jam_arg $ check_arg
-      $ params_arg $ simulate_arg $ cores_arg $ native_arg $ strict_arg
-      $ verify_arg $ break_schedule_arg $ tune_arg $ tune_report_arg
-      $ jobs_arg $ tune_budget_arg $ stats_arg $ stats_json_arg
-      $ cold_solver_arg $ batch_arg $ batch_manifest_arg $ batch_timeout_arg
-      $ cache_dir_arg $ cache_size_arg $ fast_schedule_arg
-      $ break_fastpath_arg $ reductions_arg $ connect_arg)
+      $ options_term $ check_arg $ params_arg $ simulate_arg $ cores_arg
+      $ native_arg $ strict_arg $ verify_arg $ break_schedule_arg $ tune_arg
+      $ tune_report_arg $ jobs_arg $ tune_budget_arg $ stats_arg
+      $ stats_json_arg $ cold_solver_arg $ batch_arg $ batch_manifest_arg
+      $ batch_timeout_arg $ cache_dir_arg $ cache_size_arg $ connect_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -11,24 +11,8 @@
 
 open Cmdliner
 
-(* "64M", "512k", "2G" or plain bytes — same syntax as plutocc. *)
-let parse_size spec =
-  let s = String.trim spec in
-  let n = String.length s in
-  let mult, digits =
-    if n = 0 then (1, s)
-    else
-      match s.[n - 1] with
-      | 'k' | 'K' -> (1024, String.sub s 0 (n - 1))
-      | 'm' | 'M' -> (1024 * 1024, String.sub s 0 (n - 1))
-      | 'g' | 'G' -> (1024 * 1024 * 1024, String.sub s 0 (n - 1))
-      | _ -> (1, s)
-  in
-  match int_of_string_opt (String.trim digits) with
-  | Some v when v > 0 -> Some (v * mult)
-  | _ -> None
-
 let default_socket = Filename.concat (Filename.get_temp_dir_name ()) "plutod.sock"
+let defaults = Server.default_config ~socket_path:default_socket
 
 let run socket tcp_port jobs cache_dir cache_size deadline result_cache
     max_connections max_pipeline max_queue max_request_bytes max_output_bytes
@@ -59,31 +43,11 @@ let run socket tcp_port jobs cache_dir cache_size deadline result_cache
     end
   else begin
     Store.set_dir cache_dir;
-    (match cache_size with
-    | None -> ()
-    | Some spec -> (
-        match parse_size spec with
-        | Some bytes -> Store.set_budget (Some bytes)
-        | None ->
-            prerr_endline
-              ("plutod: --cache-size: " ^ spec
-             ^ " is not a positive size (try 64M, 512K, 2G)");
-            exit 1));
-    let size_flag flag spec =
-      match parse_size spec with
-      | Some bytes -> bytes
-      | None ->
-          prerr_endline
-            (Printf.sprintf
-               "plutod: %s: %s is not a positive size (try 64K, 8M)" flag
-               spec);
-          exit 1
-    in
-    let d = Server.default_config ~socket_path:socket in
+    if cache_size <> None then Store.set_budget cache_size;
     let cfg =
       {
-        d with
-        Server.tcp_port;
+        Server.socket_path = socket;
+        tcp_port;
         jobs = max 1 jobs;
         default_deadline_s = deadline;
         result_cache_entries = max 1 result_cache;
@@ -91,13 +55,9 @@ let run socket tcp_port jobs cache_dir cache_size deadline result_cache
         max_pipeline = max 1 max_pipeline;
         max_queue = max 1 max_queue;
         max_request_bytes =
-          (match max_request_bytes with
-          | None -> d.Server.max_request_bytes
-          | Some spec -> size_flag "--max-request-bytes" spec);
+          Option.value max_request_bytes ~default:defaults.Server.max_request_bytes;
         max_output_bytes =
-          (match max_output_bytes with
-          | None -> d.Server.max_output_bytes
-          | Some spec -> size_flag "--max-output-bytes" spec);
+          Option.value max_output_bytes ~default:defaults.Server.max_output_bytes;
         solver_cache_entries;
       }
     in
@@ -127,7 +87,8 @@ let tcp_arg =
 
 let jobs_arg =
   Arg.(
-    value & opt int 2
+    value
+    & opt int defaults.Server.jobs
     & info [ "jobs" ] ~docv:"N"
         ~doc:"Compile at most N requests concurrently (forked workers).")
 
@@ -144,7 +105,7 @@ let cache_dir_arg =
 let cache_size_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some Conv.size) None
     & info [ "cache-size" ] ~docv:"BYTES"
         ~doc:"Byte budget for --cache-dir (K/M/G suffixes accepted).")
 
@@ -161,13 +122,15 @@ let deadline_arg =
 
 let result_cache_arg =
   Arg.(
-    value & opt int 256
+    value
+    & opt int defaults.Server.result_cache_entries
     & info [ "result-cache" ] ~docv:"N"
         ~doc:"Keep up to N finished compile results in the in-memory LRU.")
 
 let max_connections_arg =
   Arg.(
-    value & opt int 768
+    value
+    & opt int defaults.Server.max_connections
     & info [ "max-connections" ] ~docv:"N"
         ~doc:
           "Serve at most N concurrent client connections (default 768 — \
@@ -177,7 +140,8 @@ let max_connections_arg =
 
 let max_pipeline_arg =
   Arg.(
-    value & opt int 32
+    value
+    & opt int defaults.Server.max_pipeline
     & info [ "max-pipeline" ] ~docv:"N"
         ~doc:
           "Allow at most N outstanding (unanswered) requests per \
@@ -186,7 +150,8 @@ let max_pipeline_arg =
 
 let max_queue_arg =
   Arg.(
-    value & opt int 256
+    value
+    & opt int defaults.Server.max_queue
     & info [ "max-queue" ] ~docv:"N"
         ~doc:
           "Queue at most N compile jobs waiting for a worker, globally; a \
@@ -197,7 +162,7 @@ let max_queue_arg =
 let max_request_bytes_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some Conv.size) None
     & info [ "max-request-bytes" ] ~docv:"BYTES"
         ~doc:
           "Reject request lines longer than this (default 8M; K/M/G \
@@ -207,7 +172,7 @@ let max_request_bytes_arg =
 let max_output_bytes_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some Conv.size) None
     & info [ "max-output-bytes" ] ~docv:"BYTES"
         ~doc:
           "Stop reading from a connection whose unread responses exceed \

@@ -57,12 +57,6 @@ let rung_of ds =
   else if Diag.has_code ds "fastpath-accepted" then "fast"
   else "auto"
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let compile_one ~options ~strict ~verify ((name, src) : string * string) :
     task_result =
   (* cross-file sharing goes through the persistent store only: start every
@@ -79,46 +73,14 @@ let compile_one ~options ~strict ~verify ((name, src) : string * string) :
       { t_code = Some code; t_diags = warns; t_rung = rung_of warns }
 
 let entry_of_outcome file (o : task_result Pool.outcome) =
+  let elapsed = o.Pool.elapsed_s and retried = o.Pool.retried in
   match o.Pool.value with
   | Ok t ->
-      let status =
-        match t.t_code with
-        | None -> Failed
-        | Some _ -> if Driver.degraded t.t_diags then Degraded else Success
-      in
-      {
-        e_file = file;
-        e_status = status;
-        e_rung = t.t_rung;
-        e_diags = t.t_diags;
-        e_code = t.t_code;
-        e_output = None;
-        e_elapsed_s = o.Pool.elapsed_s;
-        e_retried = o.Pool.retried;
-      }
-  | Error d ->
-      {
-        e_file = file;
-        e_status = Failed;
-        e_rung = "none";
-        e_diags = [ d ];
-        e_code = None;
-        e_output = None;
-        e_elapsed_s = o.Pool.elapsed_s;
-        e_retried = o.Pool.retried;
-      }
+      Manifest.entry ~retried ~file ~rung:t.t_rung ~diags:t.t_diags ~elapsed t.t_code
+  | Error d -> Manifest.entry ~retried ~file ~rung:"none" ~diags:[ d ] ~elapsed None
 
 let error_entry file d =
-  {
-    e_file = file;
-    e_status = Failed;
-    e_rung = "none";
-    e_diags = [ d ];
-    e_code = None;
-    e_output = None;
-    e_elapsed_s = 0.0;
-    e_retried = false;
-  }
+  Manifest.entry ~file ~rung:"none" ~diags:[ d ] ~elapsed:0.0 None
 
 let ensure_dir dir =
   let rec go d =
@@ -156,7 +118,7 @@ let run ?(options = Driver.default_options) ?(strict = false)
   let inputs =
     List.map
       (fun file ->
-        match read_file file with
+        match In_channel.with_open_bin file In_channel.input_all with
         | src -> Ok (file, src)
         | exception Sys_error msg ->
             Error (file, Diag.errorf ~code:"io" "%s" msg))
@@ -195,12 +157,3 @@ let exit_code m =
   if List.exists (fun e -> e.e_status = Failed) m.m_entries then 1
   else if List.exists (fun e -> e.e_status = Degraded) m.m_entries then 2
   else 0
-
-(* ------------------------------ manifest JSON ----------------------------- *)
-
-(* One encoding for batch manifests and daemon responses: {!Manifest}. *)
-let json_string = Manifest.json_string
-let status_name = Manifest.status_name
-let diag_to_json = Manifest.diag_to_json
-let entry_to_json e = Manifest.entry_to_json e
-let manifest_to_json = Manifest.manifest_to_json

@@ -8,7 +8,6 @@ type options = {
   unroll_jam : int;
   min_band_tile : int;
   auto : Pluto.Auto.config;
-  context_min : int;
   fast_schedule : bool;
   break_fastpath : bool;
   reductions : bool;
@@ -25,13 +24,117 @@ let default_options =
     unroll_jam = 1;
     min_band_tile = 2;
     auto = Pluto.Auto.default_config;
-    context_min = 1;
     fast_schedule = true;
     break_fastpath = false;
     reductions = false;
   }
 
-let paper_options = default_options
+(* ----------------------------- the option table --------------------------- *)
+
+type _ kind =
+  | Bool : bool kind
+  | Int : int kind
+  | Int_opt : int option kind
+  | Ints_opt : int array option kind
+
+type cli =
+  | Value of { flag : string option; docv : string; doc : string }
+  | Switches of (string option * bool * string) list
+
+type 'a field = {
+  key : string;
+  kind : 'a kind;
+  min : int;
+  cli : cli option;
+  get : options -> 'a;
+  set : options -> 'a -> options;
+}
+
+type option_field = Field : 'a field -> option_field
+
+let int_max = 1 lsl 30
+let int_range ~min = Printf.sprintf "[%d, %d]" min int_max
+let row ?(min = 0) ?cli key kind get set = Field { key; kind; min; cli; get; set }
+let value ?flag docv doc = Some (Value { flag; docv; doc })
+let switch ?flag v doc = Some (Switches [ (flag, v, doc) ])
+
+(* Canonical order: the wire encoding lists the fields in this order, and
+   the daemon's request digest and the tuner's store key hash that
+   encoding, so reordering or respelling a row re-keys both caches. *)
+let option_fields =
+  [
+    row "tile" Bool
+      ?cli:(switch ~flag:"no-tile" false "Disable tiling (Algorithm 1).")
+      (fun o -> o.tile) (fun o tile -> { o with tile });
+    row "tile_size" Int_opt ~min:1
+      ?cli:(value ~flag:"tile-size" "T" "Uniform tile size (default: rough cache model).")
+      (fun o -> o.tile_size) (fun o tile_size -> { o with tile_size });
+    row "tile_sizes" Ints_opt ~min:1
+      (fun o -> o.tile_sizes) (fun o tile_sizes -> { o with tile_sizes });
+    row "parallelize" Bool
+      ?cli:(switch ~flag:"no-parallel" false "Do not mark loops for OpenMP.")
+      (fun o -> o.parallelize) (fun o parallelize -> { o with parallelize });
+    row "wavefront" Int ~min:0
+      ?cli:(value "M" "Degrees of pipelined parallelism to extract (Algorithm 2).")
+      (fun o -> o.wavefront) (fun o wavefront -> { o with wavefront });
+    row "intra_reorder" Bool
+      ?cli:
+        (switch ~flag:"no-intra-reorder" false
+           "Disable the intra-tile reordering post-pass (section 5.4).")
+      (fun o -> o.intra_reorder) (fun o intra_reorder -> { o with intra_reorder });
+    row "unroll_jam" Int ~min:1
+      ?cli:
+        (value ~flag:"unroll-jam" "F"
+           "Unroll-jam factor for the innermost parallel/vectorizable loop \
+            (annotation priced by the simulator and emitted as a pragma; 1 = \
+            off).")
+      (fun o -> o.unroll_jam) (fun o unroll_jam -> { o with unroll_jam });
+    row "min_band_tile" Int ~min:1
+      (fun o -> o.min_band_tile) (fun o min_band_tile -> { o with min_band_tile });
+    row "input_deps" Bool
+      ?cli:
+        (switch ~flag:"no-rar" false
+           "Ignore read-after-read dependences in the cost function.")
+      (fun o -> o.auto.Pluto.Auto.input_deps)
+      (fun o input_deps -> { o with auto = { o.auto with Pluto.Auto.input_deps } });
+    row "fast_schedule" Bool
+      ~cli:
+        (Switches
+           [
+             ( Some "fast-schedule",
+               true,
+               "Try the fast fusion/dimension-matching scheduler before the \
+                exact per-hyperplane ILP (the default).  Accepted schedules \
+                are translation-validated first; anything else falls back \
+                to the ILP with a fastpath-rejected warning (still exit \
+                0)." );
+             ( Some "no-fast-schedule",
+               false,
+               "Always use the exact per-hyperplane ILP search (skip the \
+                fast scheduling path)." );
+           ])
+      (fun o -> o.fast_schedule) (fun o fast_schedule -> { o with fast_schedule });
+    (* deliberately undocumented: the sabotage hook for the fast path's
+       rejection machinery *)
+    row "break_fastpath" Bool
+      ?cli:(switch ~flag:"break-fastpath" true "")
+      (fun o -> o.break_fastpath) (fun o break_fastpath -> { o with break_fastpath });
+    row "reductions" Bool
+      ?cli:
+        (switch true
+           "Reduction-aware compilation: detect associative/commutative \
+            self-updates (sums, products, histograms), relax their \
+            self-dependences during scheduling so the surrounding loops can \
+            be parallelized, and emit OpenMP reduction(op:array) clauses on \
+            parallel loops that carry them.  Execution then matches the \
+            original order up to floating-point reassociation rather than \
+            bit-exactly ($(b,--check) compares with a small relative \
+            tolerance for such programs).  Off by default; without this flag \
+            output is bit-identical to previous releases.")
+      (fun o -> o.reductions) (fun o reductions -> { o with reductions });
+  ]
+
+let cli_flag f flag = Option.value flag ~default:f.key
 
 type result = {
   program : Ir.program;
@@ -270,7 +373,7 @@ let compile_with_transform ?(options = default_options) program deps transform =
   let target = build_target options transform in
   let code =
     Stats.time "pass.codegen" (fun () ->
-        Codegen.generate ~context_min:options.context_min target)
+        Codegen.generate target)
   in
   let code =
     if options.unroll_jam > 1 then
@@ -309,7 +412,7 @@ let compile_original ?(options = default_options) program =
   let target =
     { target with Pluto.Types.tpar = Array.map (fun _ -> Pluto.Types.Seq) target.Pluto.Types.tpar }
   in
-  let code = Codegen.generate ~context_min:options.context_min target in
+  let code = Codegen.generate target in
   { program; deps; transform; target; code }
 
 (* ---------------- robust compilation: the degradation ladder ------------- *)

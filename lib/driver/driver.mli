@@ -26,7 +26,6 @@ type options = {
           ({!Codegen.with_unroll_innermost}); 1 = off *)
   min_band_tile : int;  (** minimum band width worth tiling *)
   auto : Pluto.Auto.config;
-  context_min : int;
   fast_schedule : bool;
       (** try the fast fusion/dimension-matching scheduler
           ({!Pluto.Fastmatch}) before the exact ILP in {!compile_robust};
@@ -50,11 +49,59 @@ type options = {
           ({!Machine.equivalent} [~tolerance]), not bit-exactly. *)
 }
 
+(** The paper's main experimental setting: tile + parallelize with one
+    degree of pipelined parallelism, intra-tile reordering on. *)
 val default_options : options
 
-(** Options matching the paper's main experiments: tile + parallelize with
-    one degree of pipelined parallelism, intra-tile reordering on. *)
-val paper_options : options
+(** {1 The option table}
+
+    Every field a user can set — on plutocc's command line, in a batch
+    manifest or on the daemon's wire — is declared once, as one row of
+    {!option_fields}: its JSON key, its kind, the least value its integers
+    may take, and its plutocc spelling with the [--help] text.  From the
+    table come plutocc's option flags, {!Manifest.options_to_json} /
+    {!Manifest.options_of_json} (and through them the daemon's request
+    digest), and the tuner's store key.  The default of every field is
+    its value in {!default_options}.  The search configuration [auto]
+    (other than [input_deps]) is not a row: nothing outside the library
+    sets it. *)
+
+type _ kind =
+  | Bool : bool kind
+  | Int : int kind
+  | Int_opt : int option kind  (** [null] on the wire: unset *)
+  | Ints_opt : int array option kind
+
+(** How plutocc spells a field; a [None] flag is the JSON key itself. *)
+type cli =
+  | Value of { flag : string option; docv : string; doc : string }
+      (** [--flag V] for an integer field; [docv] is the metavariable *)
+  | Switches of (string option * bool * string) list
+      (** for a [bool] field: each [(flag, v, doc)] is a [--flag] that sets
+          it to [v]; an empty [doc] hides the flag from [--help] *)
+
+type 'a field = {
+  key : string;  (** JSON key; rows are in canonical wire order *)
+  kind : 'a kind;
+  min : int;  (** least allowed value of each integer in the field *)
+  cli : cli option;  (** [None]: not settable from plutocc's command line *)
+  get : options -> 'a;
+  set : options -> 'a -> options;
+}
+
+type option_field = Field : 'a field -> option_field
+
+val option_fields : option_field list
+
+(** Every integer option is at most [int_max] (2{^30}): larger values mean
+    nothing to any option, and the float-typed wire carries them exactly. *)
+val int_max : int
+
+(** ["[min, int_max]"], for error messages. *)
+val int_range : min:int -> string
+
+(** [cli_flag f flag] — the flag name a [cli] entry of [f] spells. *)
+val cli_flag : 'a field -> string option -> string
 
 type result = {
   program : Ir.program;

@@ -29,6 +29,25 @@ type manifest = {
   m_counters : (string * int) list;  (** aggregated across all workers *)
 }
 
+(* The one place an entry's status is derived: no code is a failure, code
+   from a fallback rung a degradation. *)
+let entry ?(retried = false) ~file ~rung ~diags ~elapsed code =
+  let status =
+    match code with
+    | None -> Failed
+    | Some _ -> if Driver.degraded diags then Degraded else Success
+  in
+  {
+    e_file = file;
+    e_status = status;
+    e_rung = rung;
+    e_diags = diags;
+    e_code = code;
+    e_output = None;
+    e_elapsed_s = elapsed;
+    e_retried = retried;
+  }
+
 let status_name = function
   | Success -> "ok"
   | Degraded -> "degraded"
@@ -382,68 +401,86 @@ let entry_of_json j =
 (* ------------------------- compile options wire --------------------------- *)
 
 (* The daemon must compile exactly as a standalone [plutocc] with the same
-   flags would, so the client serializes every CLI-expressible option and
-   the decoder starts from [Driver.default_options] and overrides exactly
-   the fields present.  The rendering is canonical (fixed field order, no
-   whitespace variation): the daemon's dedup digest hashes it directly. *)
-let options_to_json (o : Driver.options) =
-  let int_opt = function None -> "null" | Some v -> string_of_int v in
-  let int_arr_opt = function
-    | None -> "null"
-    | Some a ->
-        "["
-        ^ String.concat "," (List.map string_of_int (Array.to_list a))
-        ^ "]"
+   flags would, so the client serializes every field of
+   {!Driver.option_fields} and the decoder starts from
+   [Driver.default_options] and overrides exactly the fields present.  The
+   rendering is canonical (table order, no whitespace variation): the
+   daemon's dedup digest and the tuner's store key hash it directly. *)
+let options_to_json =
+  (* keys are escaped once: the daemon encodes on every request *)
+  let keys =
+    List.map (fun (Driver.Field f as row) -> (json_string f.key ^ ": ", row)) Driver.option_fields
   in
-  Printf.sprintf
-    "{\"tile\": %b, \"tile_size\": %s, \"tile_sizes\": %s, \"parallelize\": \
-     %b, \"wavefront\": %d, \"intra_reorder\": %b, \"unroll_jam\": %d, \
-     \"min_band_tile\": %d, \"input_deps\": %b, \"fast_schedule\": %b, \
-     \"break_fastpath\": %b, \"reductions\": %b}"
-    o.Driver.tile (int_opt o.Driver.tile_size)
-    (int_arr_opt o.Driver.tile_sizes)
-    o.Driver.parallelize o.Driver.wavefront o.Driver.intra_reorder
-    o.Driver.unroll_jam o.Driver.min_band_tile
-    o.Driver.auto.Pluto.Auto.input_deps o.Driver.fast_schedule
-    o.Driver.break_fastpath o.Driver.reductions
+  let value (type a) b (f : a Driver.field) (v : a) =
+    let int i = Buffer.add_string b (string_of_int i) in
+    match (f.kind, v) with
+    | Driver.Bool, v -> Buffer.add_string b (string_of_bool v)
+    | Driver.Int, i -> int i
+    | (Driver.Int_opt, None | Driver.Ints_opt, None) -> Buffer.add_string b "null"
+    | Driver.Int_opt, Some i -> int i
+    | Driver.Ints_opt, Some a ->
+        Buffer.add_char b '[';
+        Array.iteri (fun k i -> if k > 0 then Buffer.add_char b ','; int i) a;
+        Buffer.add_char b ']'
+  in
+  fun (o : Driver.options) ->
+    let b = Buffer.create 256 in
+    Buffer.add_char b '{';
+    List.iteri
+      (fun i (key, Driver.Field f) ->
+        if i > 0 then Buffer.add_string b ", ";
+        Buffer.add_string b key;
+        value b f (f.get o))
+      keys;
+    Buffer.add_char b '}';
+    Buffer.contents b
 
+(* A wrongly typed, out-of-range or unknown field is an error, never
+   silently ignored: the daemon answers it with a [bad-request] entry. *)
 let options_of_json j =
-  let d = Driver.default_options in
-  let b k default = Json.bool_mem k j ~default in
-  let i k default = int_of_float (Json.num_mem k j ~default:(float default)) in
-  let int_opt k default =
-    match Json.mem k j with
-    | Some (Json.Num f) -> Some (int_of_float f)
-    | Some Json.Null -> None
-    | _ -> default
+  let decode (type a) (f : a Driver.field) (v : Json.t) : (a, string) result =
+    let int = function
+      | Json.Num x
+        when Float.is_integer x && x >= float f.min && x <= float Driver.int_max
+        ->
+          Some (int_of_float x)
+      | _ -> None
+    in
+    let ints = function
+      | Json.Arr xs ->
+          let is = List.filter_map int xs in
+          if List.compare_lengths is xs = 0 then Some (Array.of_list is) else None
+      | _ -> None
+    in
+    let nullable dec = function
+      | Json.Null -> Some None
+      | v -> Option.map Option.some (dec v)
+    in
+    (* the message is built only on failure: the daemon decodes every request *)
+    let expect what = function
+      | Some x -> Ok x
+      | None ->
+          Error
+            (Printf.sprintf "%S: expected %s" f.key (what (Driver.int_range ~min:f.min)))
+    in
+    match f.kind with
+    | Driver.Bool -> expect (fun _ -> "true or false") (Json.bool v)
+    | Driver.Int -> expect (fun r -> "an integer in " ^ r) (int v)
+    | Driver.Int_opt -> expect (fun r -> "null or an integer in " ^ r) (nullable int v)
+    | Driver.Ints_opt ->
+        expect (fun r -> "null or an array of integers in " ^ r) (nullable ints v)
   in
-  let int_arr_opt k default =
-    match Json.mem k j with
-    | Some (Json.Arr xs) ->
-        let ints =
-          List.filter_map (fun x -> Option.map int_of_float (Json.num x)) xs
-        in
-        if List.length ints = List.length xs then Some (Array.of_list ints)
-        else default
-    | Some Json.Null -> None
-    | _ -> default
+  let row k = List.find_opt (fun (Driver.Field f) -> f.key = k) Driver.option_fields in
+  let rec decode_all o = function
+    | [] -> Ok o
+    | (k, v) :: rest -> (
+        match row k with
+        | None -> Error (Printf.sprintf "unknown option %S" k)
+        | Some (Driver.Field f) -> (
+            match decode f v with
+            | Ok x -> decode_all (f.set o x) rest
+            | Error m -> Error m))
   in
-  {
-    d with
-    Driver.tile = b "tile" d.Driver.tile;
-    tile_size = int_opt "tile_size" d.Driver.tile_size;
-    tile_sizes = int_arr_opt "tile_sizes" d.Driver.tile_sizes;
-    parallelize = b "parallelize" d.Driver.parallelize;
-    wavefront = i "wavefront" d.Driver.wavefront;
-    intra_reorder = b "intra_reorder" d.Driver.intra_reorder;
-    unroll_jam = i "unroll_jam" d.Driver.unroll_jam;
-    min_band_tile = i "min_band_tile" d.Driver.min_band_tile;
-    auto =
-      {
-        d.Driver.auto with
-        Pluto.Auto.input_deps = b "input_deps" d.Driver.auto.Pluto.Auto.input_deps;
-      };
-    fast_schedule = b "fast_schedule" d.Driver.fast_schedule;
-    break_fastpath = b "break_fastpath" d.Driver.break_fastpath;
-    reductions = b "reductions" d.Driver.reductions;
-  }
+  match j with
+  | Json.Obj fields -> decode_all Driver.default_options fields
+  | _ -> Error "\"options\" must be an object"

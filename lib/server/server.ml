@@ -18,7 +18,6 @@ type config = {
   socket_path : string;
   tcp_port : int option;
   jobs : int;
-  options : Driver.options;
   default_deadline_s : float option;
   result_cache_entries : int;
   max_connections : int;
@@ -34,7 +33,6 @@ let default_config ~socket_path =
     socket_path;
     tcp_port = None;
     jobs = 2;
-    options = Driver.default_options;
     default_deadline_s = None;
     result_cache_entries = 256;
     (* [Unix.select] tops out at FD_SETSIZE (1024) descriptors; leave room
@@ -185,23 +183,7 @@ let iter_conns st f = Hashtbl.iter (fun _ c -> f c) st.conns
 (* ------------------------------- responses -------------------------------- *)
 
 let entry_of_result ~name ~elapsed (c : cached) =
-  let status =
-    match c.c_code with
-    | None -> Manifest.Failed
-    | Some _ ->
-        if Driver.degraded c.c_diags then Manifest.Degraded
-        else Manifest.Success
-  in
-  {
-    Manifest.e_file = name;
-    e_status = status;
-    e_rung = c.c_rung;
-    e_diags = c.c_diags;
-    e_code = c.c_code;
-    e_output = None;
-    e_elapsed_s = elapsed;
-    e_retried = false;
-  }
+  Manifest.entry ~file:name ~rung:c.c_rung ~diags:c.c_diags ~elapsed c.c_code
 
 let flush_slots conn =
   let rec go () =
@@ -224,12 +206,10 @@ let respond_entry ?(extra = []) conn slot entry =
     Stats.incr "server.failures";
   respond conn slot (Manifest.entry_to_json ~include_code:true ~extra entry)
 
-let bool_field b = if b then "true" else "false"
-
 let respond_result ?(cached = false) ?(coalesced = false) ?stats conn slot
     ~name ~elapsed c =
   let extra =
-    [ ("cached", bool_field cached); ("coalesced", bool_field coalesced) ]
+    [ ("cached", string_of_bool cached); ("coalesced", string_of_bool coalesced) ]
     @ match stats with None -> [] | Some s -> [ ("stats", s) ]
   in
   respond_entry ~extra conn slot (entry_of_result ~name ~elapsed c)
@@ -369,13 +349,12 @@ let handle_compile st conn j =
          "per-connection pipelining limit (%d outstanding requests) reached"
          st.cfg.max_pipeline)
   else
-    match J.mem "source" j with
-    | Some (J.Str source) ->
-        let options =
-          match J.mem "options" j with
-          | Some (J.Obj _ as o) -> Manifest.options_of_json o
-          | _ -> st.cfg.options
-        in
+    match
+      ( J.mem "source" j,
+        Manifest.options_of_json
+          (Option.value (J.mem "options" j) ~default:(J.Obj [])) )
+    with
+    | Some (J.Str source), Ok options ->
         let strict = J.bool_mem "strict" j ~default:false in
         let verify = J.bool_mem "verify" j ~default:false in
         let deadline_s =
@@ -437,6 +416,7 @@ let handle_compile st conn j =
                   Hashtbl.add st.inflight digest job;
                   Queue.push job st.queue
                 end))
+    | Some (J.Str _), Error msg -> bad_request conn ("bad options: " ^ msg)
     | _ -> bad_request conn "compile request lacks a \"source\" string"
 
 let stats_json st =

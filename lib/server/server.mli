@@ -13,8 +13,10 @@
     - [{"op": "compile", "name": f, "source": src, "options": {...},
         "strict": b, "verify": b, "deadline_s": s}] — compile [src].
       [options] uses the canonical encoding of {!Manifest.options_to_json};
-      omitted fields (or the whole object) default to the daemon's
-      configured options.  The response is exactly a batch-manifest entry
+      omitted fields (or the whole object) default to
+      {!Driver.default_options}, and a wrongly typed, out-of-range or
+      unknown field is answered with a [bad-request] entry
+      ({!Manifest.options_of_json}).  The response is exactly a batch-manifest entry
       ({!Manifest.entry_to_json} — same encoder, so batch manifests and
       daemon responses can never drift) extended with ["code"] (the
       rendered C), ["cached"], ["coalesced"], and ["stats"] (the worker's
@@ -82,7 +84,6 @@ type config = {
   socket_path : string;
   tcp_port : int option;  (** also listen on 127.0.0.1:port *)
   jobs : int;  (** max concurrent compile workers *)
-  options : Driver.options;  (** defaults for requests that omit options *)
   default_deadline_s : float option;
       (** per-request wall-clock budget when the request names none;
           exceeding it kills the worker and answers with the structured

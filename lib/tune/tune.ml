@@ -138,22 +138,6 @@ type report = {
   r_elapsed_s : float;
 }
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 (* JSON has no Infinity literal; failed candidates carry "failed" anyway. *)
 let json_float f =
   if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
@@ -163,22 +147,22 @@ let outcome_to_json o =
     "{\"index\": %d, \"candidate\": %s, \"cycles\": %s, \"gflops\": %s, \
      \"degraded\": %b, \"from_cache\": %b, \"failed\": %s}"
     o.o_index
-    (json_string (candidate_to_string o.o_cand))
+    (Manifest.json_string (candidate_to_string o.o_cand))
     (json_float o.o_cycles) (json_float o.o_gflops) o.o_degraded
     o.o_from_cache
-    (match o.o_failed with None -> "null" | Some m -> json_string m)
+    (match o.o_failed with None -> "null" | Some m -> Manifest.json_string m)
 
 let report_to_json r =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
   Buffer.add_string b
     (Printf.sprintf "  \"program\": %s,\n  \"digest\": %s,\n"
-       (json_string r.r_name) (json_string r.r_digest));
+       (Manifest.json_string r.r_name) (Manifest.json_string r.r_digest));
   Buffer.add_string b "  \"params\": {";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Printf.sprintf "%s: %d" (json_string k) v))
+      Buffer.add_string b (Printf.sprintf "%s: %d" (Manifest.json_string k) v))
     r.r_params;
   Buffer.add_string b "},\n";
   Buffer.add_string b
@@ -244,23 +228,10 @@ let machine_repr (m : Machine.machine_config) =
     m.Machine.loop_overhead_cycles m.Machine.guard_cycles
     m.Machine.barrier_cycles m.Machine.vector_width m.Machine.ghz
 
-let options_repr (o : Driver.options) =
-  let a = o.Driver.auto in
-  Printf.sprintf
-    "par=%b wf=%d intra=%b mbt=%d ctx=%d cb=%d sb=%d ub=%d wb=%d actx=%d \
-     cost=%b nodes=%d ilp_t=%s search_t=%s"
-    o.Driver.parallelize o.Driver.wavefront o.Driver.intra_reorder
-    o.Driver.min_band_tile o.Driver.context_min a.Pluto.Auto.coeff_bound
-    a.Pluto.Auto.shift_bound a.Pluto.Auto.u_bound a.Pluto.Auto.w_bound
-    a.Pluto.Auto.ctx a.Pluto.Auto.use_cost_bound
-    a.Pluto.Auto.budget.Milp.max_nodes
-    (match a.Pluto.Auto.budget.Milp.time_limit_s with
-    | None -> "-"
-    | Some t -> Printf.sprintf "%g" t)
-    (match a.Pluto.Auto.search_time_limit_s with
-    | None -> "-"
-    | Some t -> Printf.sprintf "%g" t)
-
+(* The options part of the key is the daemon's canonical wire encoding,
+   which covers every field of {!Driver.option_fields}, plus the search
+   configuration [auto] that is not on the wire, marshaled whole so a field
+   added to it later cannot be left out. *)
 let cache_key ~program_repr ~machine ~params ~options cand =
   let params_repr =
     String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) params)
@@ -269,11 +240,12 @@ let cache_key ~program_repr ~machine ~params ~options cand =
     (Digest.string
        (String.concat "\x00"
           [
-            "pluto-tune-cache-v1";
+            "pluto-tune-cache-v2";
             program_repr;
             machine_repr machine;
             params_repr;
-            options_repr options;
+            Manifest.options_to_json options;
+            Marshal.to_string options.Driver.auto [];
             candidate_to_string cand;
           ]))
 

@@ -26,7 +26,8 @@
       degradation ladder;
     + memoizes evaluations in the persistent {!Store} (kind ["tune-eval"],
       keyed by program digest, candidate, machine config, parameters and
-      options) whenever a store is enabled ([plutocc --cache-dir]), so a
+      every option: the canonical wire encoding of
+      {!Driver.option_fields} plus the search configuration) whenever a store is enabled ([plutocc --cache-dir]), so a
       warm rerun performs zero evaluations.  A worker crash is never
       cached.
 

@@ -98,6 +98,15 @@ let getenv_pos name =
           Printf.eprintf "%s=%S is not a positive integer\n%!" name s;
           exit 2)
 
+(* A value of an option-table field other than its default. *)
+let non_default (type a) (f : a Driver.field) : a =
+  let d = f.Driver.get Driver.default_options in
+  match f.Driver.kind with
+  | Driver.Bool -> not d
+  | Driver.Int -> d + 1
+  | Driver.Int_opt -> Some (2 * Option.value d ~default:4)
+  | Driver.Ints_opt -> Some [| 8; 32 |]
+
 (* Alcotest case whose body starts from freshly reset global counters, so
    counter assertions cannot pass or fail depending on which suites ran
    before them in the same process. *)

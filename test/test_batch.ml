@@ -42,7 +42,7 @@ let test_end_to_end () =
           Alcotest.(check string) ("rung of " ^ e.Batch.e_file) rung
             e.Batch.e_rung)
         [ "auto"; "fast" ] m.Batch.m_entries;
-      let json = Batch.manifest_to_json m in
+      let json = Manifest.manifest_to_json m in
       List.iter
         (fun frag ->
           Alcotest.(check bool) ("manifest has " ^ frag) true

@@ -103,7 +103,7 @@ let dump_schedule s (m : Batch.manifest option) msg =
         (Filename.concat d (Printf.sprintf "chaos-%04d.txt" s.s_id))
         (Printf.sprintf "%s\nviolation: %s\n\n%s\n" (describe s) msg
            (match m with
-           | Some m -> Batch.manifest_to_json m
+           | Some m -> Manifest.manifest_to_json m
            | None -> "(no manifest: Batch.run raised)"))
 
 let fail_schedule s m msg =

@@ -60,7 +60,27 @@ let test_option_flags () =
             "--no-intra-reorder";
             "--no-rar";
             "--show-transform --show-deps";
-          ])
+          ];
+        (* out of range: refused before anything is compiled or written *)
+        List.iter
+          (fun flags ->
+            let out = Filename.concat dir "bad.c" in
+            Alcotest.(check bool) ("refused: " ^ flags) true
+              (run (Printf.sprintf "%s %s %s -o %s" plutocc src flags out) <> 0);
+            Alcotest.(check bool) ("nothing written: " ^ flags) false
+              (Sys.file_exists out))
+          [ "--tile-size 0"; "--tile-size=-4"; "--unroll-jam 0"; "--wavefront=-1" ];
+        let err = Filename.concat dir "err.txt" in
+        Alcotest.(check bool) "--cores 0 refused" true
+          (Sys.command
+             (Printf.sprintf
+                "%s %s --simulate --params T=4,N=20 --cores 0 > /dev/null 2> %s"
+                plutocc src err)
+          <> 0);
+        let msg = In_channel.with_open_bin err In_channel.input_all in
+        Alcotest.(check bool) ("--cores 0 is a usage error: " ^ msg) true
+          (Astring.String.is_infix ~affix:"--cores" msg
+          && not (Astring.String.is_infix ~affix:"internal" msg)))
 
 let test_tune_flag () =
   if available () then

@@ -4,7 +4,7 @@
    tolerance-based equivalence.  With the flag off nothing may change. *)
 
 let red_options =
-  { Driver.paper_options with Driver.reductions = true }
+  { Driver.default_options with Driver.reductions = true }
 
 let stmt_of src =
   let p = Frontend.parse_program ~name:"<red>" src in
@@ -135,7 +135,7 @@ let clauses_of (cg : Codegen.t) =
 
 let test_dot_parallelizes () =
   let p = Kernels.program Kernels.dot in
-  let off = Driver.compile ~options:Driver.paper_options p in
+  let off = Driver.compile ~options:Driver.default_options p in
   Alcotest.(check (list int)) "flag off: dot fully serial" []
     (parallel_levels_of off.Driver.code);
   let on = Driver.compile ~options:red_options p in
@@ -179,15 +179,15 @@ let test_flag_off_bit_identical () =
   List.iter
     (fun k ->
       let p = Kernels.program k in
-      let off = Driver.compile ~options:Driver.paper_options p in
-      let off2 = Driver.compile ~options:Driver.paper_options p in
+      let off = Driver.compile ~options:Driver.default_options p in
+      let off2 = Driver.compile ~options:Driver.default_options p in
       Alcotest.(check string)
         (k.Kernels.name ^ ": flag-off output deterministic")
         (Putil.string_of_format Codegen.print_loop_nest off.Driver.code)
         (Putil.string_of_format Codegen.print_loop_nest off2.Driver.code);
       let on =
         Driver.compile
-          ~options:{ Driver.paper_options with Driver.reductions = true }
+          ~options:{ Driver.default_options with Driver.reductions = true }
           p
       in
       if k.Kernels.name = "jacobi-1d-imper" then

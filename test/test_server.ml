@@ -155,36 +155,66 @@ let parse_ok what line =
 
 (* ------------------------------- pure tests -------------------------------- *)
 
+(* Each is rejected by the decoder, and answered with bad-request by the
+   daemon. *)
+let malformed_options =
+  [
+    "{\"tile_size\": 0}";
+    "{\"tile_sizes\": [0]}";
+    "{\"tile_size\": \"x\"}";
+    "{\"tile_size\": 2.7}";
+    "{\"wavefront\": 1e30}";
+    "{\"tile-size\": 8}";
+    "{\"unroll_jam\": 0}";
+    "{\"wavefront\": -1}";
+    "{\"min_band_tile\": 0}";
+    "{\"tile_sizes\": [8, \"x\"]}";
+    "{\"tile\": 1}";
+    "[]";
+  ]
+
+(* Golden values: the canonical encoding and the request digest key the
+   persistent server-result and tuner entries, so any change to either
+   turns every stored entry into a miss. *)
+let default_options_json =
+  "{\"tile\": true, \"tile_size\": null, \"tile_sizes\": null, \
+   \"parallelize\": true, \"wavefront\": 1, \"intra_reorder\": true, \
+   \"unroll_jam\": 1, \"min_band_tile\": 2, \"input_deps\": true, \
+   \"fast_schedule\": true, \"break_fastpath\": false, \"reductions\": false}"
+
+let decode_options text =
+  match Manifest.Json.parse text with
+  | Error msg -> Alcotest.failf "not parseable: %s (%s)" text msg
+  | Ok j -> Manifest.options_of_json j
+
 let test_options_wire () =
   let d = Driver.default_options in
   let enc = Manifest.options_to_json d in
-  (match Manifest.Json.parse enc with
-  | Error msg -> Alcotest.failf "canonical options not parseable: %s" msg
-  | Ok j ->
+  Alcotest.(check string) "canonical default encoding" default_options_json enc;
+  (match decode_options enc with
+  | Error msg -> Alcotest.failf "default options rejected: %s" msg
+  | Ok o ->
       Alcotest.(check string)
         "default options survive a wire round trip" enc
-        (Manifest.options_to_json (Manifest.options_of_json j)));
+        (Manifest.options_to_json o));
   (* overrides: only the fields present change, everything else stays *)
-  match
-    Manifest.Json.parse
-      "{\"tile\": false, \"unroll_jam\": 7, \"fast_schedule\": true}"
-  with
-  | Error msg -> Alcotest.failf "override object not parseable: %s" msg
-  | Ok j ->
-      let o = Manifest.options_of_json j in
-      let enc' = Manifest.options_to_json o in
-      Alcotest.(check bool) "tile overridden" false o.Driver.tile;
-      Alcotest.(check int) "unroll_jam overridden" 7 o.Driver.unroll_jam;
-      Alcotest.(check bool)
-        "fast_schedule overridden" true o.Driver.fast_schedule;
-      Alcotest.(check bool)
-        "untouched fields keep their defaults"
-        true
-        (o.Driver.parallelize = d.Driver.parallelize
-        && o.Driver.wavefront = d.Driver.wavefront
-        && o.Driver.tile_size = d.Driver.tile_size);
-      Alcotest.(check bool) "re-encoding is canonical" true
-        (String.length enc' > 0 && enc' <> enc)
+  (match
+     decode_options "{\"tile\": false, \"unroll_jam\": 7, \"fast_schedule\": true}"
+   with
+  | Error msg -> Alcotest.failf "override object rejected: %s" msg
+  | Ok o ->
+      Alcotest.(check string)
+        "exactly the fields present are overridden"
+        (Manifest.options_to_json { d with Driver.tile = false; unroll_jam = 7 })
+        (Manifest.options_to_json o));
+  Alcotest.(check bool) "a request without options decodes {}" true
+    (decode_options "{}" = Ok d);
+  (* out of range, wrongly typed, unknown: rejected, never ignored *)
+  List.iter
+    (fun text ->
+      Alcotest.(check bool) ("rejected: " ^ text) true
+        (Result.is_error (decode_options text)))
+    malformed_options
 
 let test_request_digest () =
   let dg ?(options = options) ?(strict = false) ?(verify = false) source =
@@ -201,7 +231,9 @@ let test_request_digest () =
   let o' = { options with Driver.unroll_jam = 9 } in
   Alcotest.(check bool)
     "options change the digest" true
-    (dg jacobi_src <> dg ~options:o' jacobi_src)
+    (dg jacobi_src <> dg ~options:o' jacobi_src);
+  Alcotest.(check string) "golden default digest"
+    "f2bed00a0707e2283b545f27a7235b07" (dg "x")
 
 let test_entry_roundtrip () =
   let entry =
@@ -308,7 +340,28 @@ let test_compile_parity_and_admin () =
                   in
                   check_bad "garbage line" "{this is not json";
                   check_bad "unknown op" "{\"op\": \"frobnicate\"}";
-                  check_bad "compile without source" "{\"op\": \"compile\"}"));
+                  check_bad "compile without source" "{\"op\": \"compile\"}";
+                  List.iter
+                    (fun opts ->
+                      check_bad opts
+                        (Printf.sprintf
+                           "{\"op\": \"compile\", \"name\": \"k.c\", \
+                            \"source\": %s, \"options\": %s}"
+                           (Manifest.json_string matmul_src) opts))
+                    malformed_options;
+                  Alcotest.(check int) "one bad request each"
+                    (3 + List.length malformed_options)
+                    (daemon_counter ~socket "server.bad_requests");
+                  Alcotest.(check int) "no worker spawned for them" 1
+                    (daemon_counter ~socket "server.compiles");
+                  match
+                    Client.compile_fd fd ~options ~name:"k.c" ~source:jacobi_src ()
+                  with
+                  | Error msg -> Alcotest.failf "valid request after them failed: %s" msg
+                  | Ok r ->
+                      Alcotest.(check (option string))
+                        "the same connection still compiles"
+                        (Some (local_code jacobi_src)) r.Client.r_entry.Manifest.e_code));
           Alcotest.(check bool) "shutdown acknowledged" true
             (Client.shutdown ~socket);
           Alcotest.(check bool) "daemon drained and exited 0" true
@@ -894,6 +947,80 @@ let test_chaos_fault_sites () =
           Alcotest.(check bool) "daemon drained and exited 0" true
             (wait_exit pid = Unix.WEXITED 0)))
 
+(* ------------------------------ option table ------------------------------- *)
+
+let plutocc = "../bin/plutocc.exe"
+
+(* The plutocc arguments that set [f] to [v], if its table row spells it. *)
+let cli_args (type a) (f : a Driver.field) (v : a) =
+  let arg flag = "--" ^ Driver.cli_flag f flag in
+  match (f.Driver.kind, f.Driver.cli) with
+  | Driver.Bool, Some (Driver.Switches l) ->
+      List.find_map (fun (flag, b, _) -> if b = v then Some (arg flag) else None) l
+  | Driver.Int, Some (Driver.Value { flag; _ }) ->
+      Some (Printf.sprintf "%s %d" (arg flag) v)
+  | Driver.Int_opt, Some (Driver.Value { flag; _ }) ->
+      Option.map (Printf.sprintf "%s %d" (arg flag)) v
+  | _ -> None
+
+(* One pass over the option table: for every field set to a non-default
+   value, the wire encoding round-trips, the request digest moves, and —
+   when plutocc spells the field — the flag prints exactly the code the
+   library compiles, both standalone and through the daemon.  mvt is the
+   kernel because most flags change its code, so the comparisons bite. *)
+let test_option_table_end_to_end () =
+  let src = Kernels.mvt.Kernels.source in
+  let compiled options =
+    (Batch.compile_one ~options ~strict:false ~verify:false ("k.c", src))
+      .Batch.t_code
+  in
+  let digest options =
+    Server.request_digest ~options ~strict:false ~verify:false ~source:src
+  in
+  let default_code = compiled Driver.default_options in
+  Pool.with_temp_dir ~prefix:"server" (fun dir ->
+      let file = Filename.concat dir "k.c" in
+      Out_channel.with_open_bin file (fun oc -> output_string oc src);
+      let socket = Filename.concat dir "d.sock" in
+      let plutocc_code args =
+        let out = Filename.concat dir "out.c" in
+        Alcotest.(check int) ("plutocc " ^ args ^ " exits 0") 0
+          (Sys.command
+             (Printf.sprintf "%s %s %s > %s 2> /dev/null" plutocc file args out));
+        Some (In_channel.with_open_bin out In_channel.input_all)
+      in
+      with_daemon ~socket (fun _pid ->
+          let spelled = ref 0 and changed = ref 0 in
+          List.iter
+            (fun (Driver.Field f) ->
+              let key = f.Driver.key in
+              let v = Fixtures.non_default f in
+              let o = f.Driver.set Driver.default_options v in
+              (match decode_options (Manifest.options_to_json o) with
+              | Ok o' ->
+                  Alcotest.(check bool) (key ^ ": decode (encode o) = o") true (o' = o)
+              | Error msg -> Alcotest.failf "%s: own encoding rejected: %s" key msg);
+              Alcotest.(check bool) (key ^ " changes the request digest") true
+                (digest o <> digest Driver.default_options);
+              match cli_args f v with
+              | None -> ()
+              | Some args ->
+                  incr spelled;
+                  let expected = compiled o in
+                  if expected <> default_code then incr changed;
+                  Alcotest.(check (option string))
+                    (args ^ ": plutocc prints Batch.compile_one's code")
+                    expected (plutocc_code args);
+                  Alcotest.(check (option string))
+                    (args ^ ": the same bytes through --connect")
+                    expected
+                    (plutocc_code (args ^ " --connect " ^ socket)))
+            Driver.option_fields;
+          Alcotest.(check int) "every spelled flag was compiled by the daemon"
+            !spelled (daemon_counter ~socket "server.compiles");
+          Alcotest.(check bool) "most flags change mvt's code" true
+            (!changed * 3 >= !spelled * 2)))
+
 (* --------------------------- signal-exit cleanup --------------------------- *)
 
 (* Pool.with_temp_dir must remove its directory when the process dies to
@@ -976,6 +1103,8 @@ let suite =
         test_slow_reader_backpressure;
       Fixtures.stats_case "chaos on server fault sites" `Quick
         test_chaos_fault_sites;
+      Fixtures.stats_case "option table: every field end to end" `Quick
+        test_option_table_end_to_end;
       Alcotest.test_case "with_temp_dir cleans up on SIGTERM" `Quick
         test_temp_dir_cleanup_on_sigterm;
     ] )

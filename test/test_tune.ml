@@ -86,7 +86,49 @@ let test_cache_key_distinguishes () =
   Alcotest.(check bool) "params change key" true
     (k0 <> key ~program_repr:"P" ~params:[ ("N", 128) ] Tune.default_candidate);
   Alcotest.(check bool) "program changes key" true
-    (k0 <> key ~program_repr:"Q" ~params:[ ("N", 64) ] Tune.default_candidate)
+    (k0 <> key ~program_repr:"Q" ~params:[ ("N", 64) ] Tune.default_candidate);
+  (* every wire field of the base options is part of the key: a change to
+     any one of them must never be served another configuration's cost *)
+  let key_with options =
+    Tune.For_tests.cache_key ~machine:mc ~options ~program_repr:"P"
+      ~params:[ ("N", 64) ] Tune.default_candidate
+  in
+  List.iter
+    (fun (Driver.Field f) ->
+      let o = f.Driver.set Driver.default_options (Fixtures.non_default f) in
+      Alcotest.(check bool) (f.Driver.key ^ " changes key") true (k0 <> key_with o))
+    Driver.option_fields;
+  let a = Driver.default_options.Driver.auto in
+  Alcotest.(check bool) "search config changes key" true
+    (k0
+    <> key_with
+         {
+           Driver.default_options with
+           Driver.auto = { a with Pluto.Auto.coeff_bound = a.Pluto.Auto.coeff_bound + 1 };
+         })
+
+(* A --reductions search on a store filled without it must evaluate every
+   candidate, never be served costs measured under other options, and so
+   agree with a cold --reductions search. *)
+let test_cache_key_reductions () =
+  let p = Kernels.program Kernels.dot in
+  let reductions = { Driver.default_options with Driver.reductions = true } in
+  let search ~dir options =
+    Store.set_dir (Some dir);
+    Fun.protect
+      ~finally:(fun () -> Store.set_dir None)
+      (fun () -> fst (Tune.search ~options ~budget:6 ~candidate_time_s:30.0 ~seed:7 p))
+  in
+  let best_cycles r = Option.map (fun o -> o.Tune.o_cycles) r.Tune.r_best in
+  with_temp_dir (fun shared ->
+      with_temp_dir (fun fresh ->
+          ignore (search ~dir:shared Driver.default_options);
+          let warm = search ~dir:shared reductions in
+          let cold = search ~dir:fresh reductions in
+          Alcotest.(check int) "no hits from the plain search" 0 warm.Tune.r_cache_hits;
+          Alcotest.(check (option (float 0.0)))
+            "same best cost as a cold --reductions search" (best_cycles cold)
+            (best_cycles warm)))
 
 (* ------------------------------ determinism ------------------------------- *)
 
@@ -250,6 +292,8 @@ let suite =
       Alcotest.test_case "pruning predicate" `Quick test_prunes;
       Alcotest.test_case "enumerate keeps anchors" `Quick test_enumerate_anchors;
       Alcotest.test_case "cache key" `Quick test_cache_key_distinguishes;
+      Alcotest.test_case "cache key covers --reductions" `Slow
+        test_cache_key_reductions;
       Alcotest.test_case "deterministic under seed" `Slow test_deterministic_search;
       Alcotest.test_case "fork pool = sequential" `Slow test_pool_matches_sequential;
       Alcotest.test_case "warm cache skips evaluation" `Slow test_cache_warm_rerun;
