@@ -436,9 +436,9 @@ let ablation_auto_scheduler () =
 (* A/B the incremental solver (warm-started branch-and-bound, warm lexmin,
    LP/feasibility memoization, canonical emptiness cache) against the cold
    reference on the tuner path, where the same dependence systems and LPs
-   recur across candidates.  jobs:1 keeps the search in-process so the
-   counters accumulate in this process, and the disk cache is disabled so
-   both runs really solve.  The generated winner must be identical — the
+   recur across candidates.  jobs:1 without a per-candidate deadline keeps
+   the search in-process so the solver caches warm across candidates, and
+   the disk cache is disabled so both runs really solve.  The generated winner must be identical — the
    warm paths change how answers are computed, never the answers. *)
 let solver_substrate () =
   section "Solver substrate: incremental (warm) vs cold-start, tuner path";
@@ -451,7 +451,7 @@ let solver_substrate () =
     let p = Kernels.program k in
     let t0 = Unix.gettimeofday () in
     let _report, best =
-      Tune.search ~jobs:1 ~budget:8 ~candidate_time_s:5.0
+      Tune.search ~jobs:1 ~budget:8 ~candidate_time_s:0.0
         ~seed:(Gen.seed_of_env ()) ~params p
     in
     let dt = Unix.gettimeofday () -. t0 in

@@ -579,7 +579,7 @@ let batch_arg =
     & info [ "batch" ]
         ~doc:
           "Compile every FILE (concurrently with $(b,--jobs)).  A file that \
-           crashes its worker or exceeds $(b,--batch-timeout) is reported \
+           crashes its worker or outlives $(b,--batch-timeout) is reported \
            and the rest of the batch is unaffected.  Exit status: 1 if any \
            file failed, else 2 if any file needed a fallback scheduling \
            rung, else 0.")
@@ -600,8 +600,11 @@ let batch_timeout_arg =
     & opt (some float) None
     & info [ "batch-timeout" ] ~docv:"S"
         ~doc:
-          "With $(b,--batch): wall-clock budget per file, in seconds; a \
-           file exceeding it fails with a pool-timeout diagnostic.")
+          "With $(b,--batch): wall-clock deadline per file, in seconds.  A \
+           file still being scheduled when it passes degrades to the \
+           original program order with a deadline warning (exit 2); a \
+           worker still running a second later is killed and its file fails \
+           with a pool-timeout diagnostic.")
 
 let cache_dir_arg =
   Arg.(

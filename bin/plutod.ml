@@ -115,8 +115,10 @@ let deadline_arg =
     & opt (some float) None
     & info [ "deadline" ] ~docv:"S"
         ~doc:
-          "Default per-request wall-clock budget in seconds (a request's \
-           own deadline_s field overrides it); an expired request's worker \
+          "Default per-request wall-clock deadline in seconds (a request's \
+           own deadline_s field overrides it).  A compile still being \
+           scheduled when it passes degrades to the original program order \
+           with a deadline warning; a worker still running a second later \
            is killed and the client gets a structured pool-timeout \
            diagnostic.")
 

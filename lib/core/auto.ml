@@ -33,10 +33,6 @@ type config = {
       (** resource budget for each hyperplane-search ILP; exhaustion is
           treated as "no hyperplane at this level" and the search degrades
           (cut / dismiss / [No_transform]) instead of running unboundedly *)
-  search_time_limit_s : float option;
-      (** CPU-time deadline for the whole search; when it passes, the next
-          level raises [Diag.Budget_exceeded] (the per-ILP [budget] bounds
-          single calls, but a search makes many of them) *)
 }
 
 let default_config =
@@ -49,7 +45,6 @@ let default_config =
     input_deps = true;
     use_cost_bound = true;
     budget = Milp.default_budget;
-    search_time_limit_s = None;
   }
 
 (* ------------------------- per-dependence caches ------------------------- *)
@@ -451,25 +446,13 @@ let transform ?(config = default_config) (p : Ir.program) (deps : Deps.t list) =
   in
   let stuck_reason = ref "" in
   let budget_note = ref None in
-  let deadline =
-    Option.map (fun dt -> Sys.time () +. dt) config.search_time_limit_s
-  in
-  let check_deadline () =
-    match deadline with
-    | Some d when Sys.time () > d ->
-        raise
-          (Diag.Budget_exceeded
-             (Printf.sprintf "transformation search exceeded %gs (level %d)"
-                (Option.get config.search_time_limit_s)
-                !level))
-    | _ -> ()
-  in
   (* Budget exhaustion in the per-level ILP is "no hyperplane found at this
      level": the search falls through to its cut/dismiss machinery and, if
      that cannot make progress either, reports [No_transform] — which the
-     driver's degradation ladder turns into a warning, not a crash. *)
+     driver's degradation ladder turns into a warning, not a crash.  An
+     expired deadline is not a budget: it unwinds the whole search. *)
   let find_hyperplane_bounded () =
-    check_deadline ();
+    Deadline.check ();
     try find_hyperplane config lay states hmats
     with Diag.Budget_exceeded msg ->
       budget_note := Some msg;

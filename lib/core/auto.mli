@@ -45,15 +45,9 @@ type config = {
           design choice) *)
   budget : Milp.budget;
       (** resource budget for each hyperplane-search ILP; exhaustion degrades
-          the search (cut / dismiss / {!No_transform}) instead of diverging *)
-  search_time_limit_s : float option;
-      (** CPU-time deadline for one whole search (default [None]).  The
-          per-ILP [budget] bounds each solver call, but a search makes many
-          of them — one hyperplane ILP per level plus concrete satisfaction
-          and parallelism tests per live dependence — so the total can grow
-          far beyond any single call's limit.  When the deadline passes, the
-          search raises {!Diag.Budget_exceeded}, which
-          [Driver.compile_robust] turns into a degradation step. *)
+          the search (cut / dismiss / {!No_transform}) instead of diverging.
+          Time is bounded by the caller's {!Deadline}, checked before every
+          level's ILP and at every branch-and-bound node. *)
 }
 
 val default_config : config
@@ -63,7 +57,8 @@ exception No_transform of string
 (** [transform ?config p deps] runs the search and returns the statement-wise
     transformation (rows, level kinds, satisfaction levels).
     @raise No_transform if the search gets stuck (e.g. a dependence cycle
-    requiring coefficients outside the non-negative search space). *)
+    requiring coefficients outside the non-negative search space).
+    @raise Deadline.Expired past the enclosing {!Deadline.within}. *)
 val transform :
   ?config:config -> Ir.program -> Deps.t list -> Types.transform
 

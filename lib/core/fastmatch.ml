@@ -87,9 +87,6 @@ let schedule ?(config = Auto.default_config) (p : Ir.program)
   if config.Auto.coeff_bound < 1 then
     reject "coefficient bound %d forbids even unit permutation rows"
       config.Auto.coeff_bound;
-  (match config.Auto.search_time_limit_s with
-  | Some t when t <= 0.0 -> reject "search time budget is %g s" t
-  | _ -> ());
   let deps =
     if config.Auto.input_deps then deps else List.filter Deps.is_legality deps
   in

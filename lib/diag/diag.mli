@@ -9,10 +9,10 @@
 
     Two escape hatches are defined as exceptions: {!Budget_exceeded}, the
     resource-budget signal raised by the solvers ({!Milp} branch-and-bound
-    node/time limits, {!Polyhedra} Fourier–Motzkin row-explosion guard), and
+    node limit, {!Polyhedra} Fourier–Motzkin row-explosion guard), and
     {!Diagnostic}, which carries a structured diagnostic out of a library
     layer.  Both are caught at layer boundaries and converted into
-    diagnostics. *)
+    diagnostics.  Time limits are not budgets: see {!Deadline}. *)
 
 type severity = Error | Warning | Note
 

@@ -3,8 +3,11 @@
 
     Each file is one pool task: it is parsed, scheduled down the
     graceful-degradation ladder, rendered to C, and the result crosses the
-    fork boundary as pure data (the rendered string plus diagnostics).  A
-    crashing or timed-out worker costs exactly one entry — the pool's
+    fork boundary as pure data (the rendered string plus diagnostics).  The
+    per-file timeout is the compile's deadline: a file still searching when
+    it passes degrades to the original program order with a ["deadline"]
+    warning.  A worker still running {!Deadline.grace_s} later is killed,
+    and a crashing or killed worker costs exactly one entry — the pool's
     structured failure becomes that file's error diagnostic and every other
     file is unaffected.
 
@@ -57,14 +60,16 @@ let rung_of ds =
   else if Diag.has_code ds "fastpath-accepted" then "fast"
   else "auto"
 
-let compile_one ~options ~strict ~verify ((name, src) : string * string) :
-    task_result =
+let compile_one ~options ~strict ~verify ?deadline_s
+    ((name, src) : string * string) : task_result =
   (* cross-file sharing goes through the persistent store only: start every
      file from empty in-memory caches, exactly as a freshly forked worker
      would, so counters do not depend on --jobs *)
   Milp.clear_caches ();
   Polyhedra.clear_caches ();
-  match Driver.compile_source_robust ~options ~strict ~verify ~name src with
+  match
+    Driver.compile_source_robust ~options ~strict ~verify ?deadline_s ~name src
+  with
   | Error ds -> { t_code = None; t_diags = ds; t_rung = "none" }
   | Ok (r, warns) ->
       let code =
@@ -127,9 +132,14 @@ let run ?(options = Driver.default_options) ?(strict = false)
   let pool_tasks =
     List.filter_map (function Ok t -> Some t | Error _ -> None) inputs
   in
+  (* a non-positive timeout is no timeout *)
+  let deadline_s =
+    Option.bind task_timeout_s (fun t -> if t > 0.0 then Some t else None)
+  in
   let outcomes =
-    Pool.map ~jobs ?task_timeout_s
-      ~f:(compile_one ~options ~strict ~verify)
+    Pool.map ~jobs
+      ?task_timeout_s:(Option.map (fun t -> t +. Deadline.grace_s) deadline_s)
+      ~f:(compile_one ~options ~strict ~verify ?deadline_s)
       pool_tasks
   in
   let rec assemble inputs outcomes acc =

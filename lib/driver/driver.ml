@@ -425,6 +425,8 @@ let attempt ~what f =
   | v -> Ok v
   | exception Diag.Budget_exceeded msg ->
       Error (Diag.errorf ~code:"budget" "%s: resource budget exceeded: %s" what msg)
+  | exception Deadline.Expired ->
+      Error (Diag.errorf ~code:"deadline" "%s: the compile deadline expired" what)
   | exception Diag.Diagnostic d ->
       Error { d with Diag.message = what ^ ": " ^ d.Diag.message }
   | exception Pluto.Auto.No_transform msg ->
@@ -613,7 +615,7 @@ let verify ?param_lo ?param_hi ?claim_ctx ?params (r : result) =
     r.transform r.code
 
 let compile_robust ?(options = default_options) ?(strict = false)
-    ?(verify = false) program =
+    ?(verify = false) ?deadline_s program =
   let validate_rung ~what r =
     if not verify then Ok r
     else
@@ -626,14 +628,19 @@ let compile_robust ?(options = default_options) ?(strict = false)
             (Diag.errorf ~code:"verify-failed"
                "%s: translation validation rejected the emitted code: %s" what
                (Format.asprintf "%a" Verify.pp_report rep))
-      | exception ((Out_of_memory | Sys.Break) as e) -> raise e
+      | exception ((Out_of_memory | Sys.Break | Deadline.Expired) as e) -> raise e
       | exception e ->
           Error
             (Diag.errorf ~code:"verify-failed" "%s: validator raised: %s" what
                (Printexc.to_string e))
   in
+  (* A rung first checks the deadline: one reached after it passed fails at
+     once instead of spending time the caller no longer has. *)
   let rung ~what f =
-    Result.bind (attempt ~what f) (validate_rung ~what)
+    Result.join
+      (attempt ~what (fun () ->
+           Deadline.check ();
+           validate_rung ~what (f ())))
   in
   let rung_auto () = compile ~options program in
   let rung_feautrier () =
@@ -643,8 +650,6 @@ let compile_robust ?(options = default_options) ?(strict = false)
     let fcfg =
       { Feautrier_core.config with
         Pluto.Auto.budget = options.auto.Pluto.Auto.budget;
-        Pluto.Auto.search_time_limit_s =
-          options.auto.Pluto.Auto.search_time_limit_s;
       }
     in
     let tr, fco = Feautrier_core.scheduling_transform ~config:fcfg program deps in
@@ -654,75 +659,78 @@ let compile_robust ?(options = default_options) ?(strict = false)
   let rung_identity () = compile_original ~options program in
   (* Top rung: the fast (fusion + dimension-matching) scheduler.  Its
      accepts are translation-validated before being trusted; every other
-     outcome — clean rejection, validation failure, crash — is one
-     structured warning and a fall-through to the exact ILP below. *)
-  let fast =
-    if not options.fast_schedule then None
-    else begin
-      Stats.incr "fastpath.attempts";
-      match
-        attempt ~what:"fast scheduling path" (fun () ->
-            try_fast ~options ~revalidate:verify program)
-      with
-      | Ok (Ok r) ->
-          Stats.incr "fastpath.accepts";
-          Some (Ok r)
-      | Ok (Error reason) ->
-          Stats.incr "fastpath.rejects";
-          Some (Error reason)
-      | Error d ->
-          Stats.incr "fastpath.rejects";
-          Some (Error d.Diag.message)
-    end
+     outcome — clean rejection, validation failure, crash, expired
+     deadline — is one structured warning and a fall-through to the exact
+     ILP below. *)
+  let fast () =
+    Stats.incr "fastpath.attempts";
+    match
+      attempt ~what:"fast scheduling path" (fun () ->
+          Deadline.check ();
+          try_fast ~options ~revalidate:verify program)
+    with
+    | Ok (Ok r) ->
+        Stats.incr "fastpath.accepts";
+        Ok r
+    | Ok (Error reason) ->
+        Stats.incr "fastpath.rejects";
+        Error reason
+    | Error d ->
+        Stats.incr "fastpath.rejects";
+        Error d.Diag.message
   in
-  match fast with
-  | Some (Ok r) ->
-      Ok
-        ( r,
-          [
-            Diag.note ~code:"fastpath-accepted"
-              "fast scheduling path accepted a validated permutation/fusion \
-               schedule (no ILP solves)";
-          ] )
-  | (None | Some (Error _)) as fast -> (
-      let fast_warns =
-        match fast with
-        | Some (Error reason) ->
-            [
-              Diag.warningf ~code:"fastpath-rejected"
-                "fast scheduling path rejected (%s); falling back to the \
-                 exact ILP"
-                reason;
-            ]
-        | _ -> []
-      in
-      match rung ~what:"Pluto auto transformation" rung_auto with
-      | Ok r -> Ok (r, fast_warns)
-      | Error d1 ->
-          if strict then Error [ promote d1 ]
-          else begin
-            let w1 =
-              Diag.warningf ~code:"degraded-feautrier"
-                "Pluto search failed; falling back to the Feautrier/FCO \
-                 baseline schedule"
+  let accepted =
+    Diag.note ~code:"fastpath-accepted"
+      "fast scheduling path accepted a validated permutation/fusion \
+       schedule (no ILP solves)"
+  in
+  let rejected reason =
+    Diag.warningf ~code:"fastpath-rejected"
+      "fast scheduling path rejected (%s); falling back to the exact ILP" reason
+  in
+  let w1 =
+    Diag.warningf ~code:"degraded-feautrier"
+      "Pluto search failed; falling back to the Feautrier/FCO baseline \
+       schedule"
+  in
+  let w2 =
+    Diag.warningf ~code:"degraded-identity"
+      "Feautrier baseline failed; emitting the original program order (no \
+       transformation)"
+  in
+  (* The searching rungs share one deadline, each spending what the rungs
+     before it left.  [Error (warnings, failures)] leaves only the identity
+     rung. *)
+  let searched =
+    Deadline.within deadline_s (fun () ->
+        match if options.fast_schedule then Some (fast ()) else None with
+        | Some (Ok r) -> Ok (r, [ accepted ])
+        | fast -> (
+            let warns =
+              match fast with Some (Error reason) -> [ rejected reason ] | _ -> []
             in
-            match rung ~what:"Feautrier baseline scheduler" rung_feautrier with
-            | Ok r -> Ok (r, fast_warns @ [ demote d1; w1 ])
-            | Error d2 -> (
-                let w2 =
-                  Diag.warningf ~code:"degraded-identity"
-                    "Feautrier baseline failed; emitting the original \
-                     program order (no transformation)"
-                in
-                match rung ~what:"identity schedule" rung_identity with
-                | Ok r -> Ok (r, fast_warns @ [ demote d1; w1; demote d2; w2 ])
-                | Error d3 -> Error [ promote d1; promote d2; promote d3 ])
-          end)
+            match rung ~what:"Pluto auto transformation" rung_auto with
+            | Ok r -> Ok (r, warns)
+            | Error d1 when strict -> Error (warns, [ d1 ])
+            | Error d1 -> (
+                let warns = warns @ [ demote d1; w1 ] in
+                match rung ~what:"Feautrier baseline scheduler" rung_feautrier with
+                | Ok r -> Ok (r, warns)
+                | Error d2 -> Error (warns @ [ demote d2; w2 ], [ d1; d2 ]))))
+  in
+  match searched with
+  | Ok v -> Ok v
+  | Error (_, failures) when strict -> Error (List.map promote failures)
+  | Error (warns, failures) -> (
+      (* no search, so no deadline: an expired one still ends in code *)
+      match rung ~what:"identity schedule" rung_identity with
+      | Ok r -> Ok (r, warns)
+      | Error d3 -> Error (List.map promote (failures @ [ d3 ])))
 
-let compile_source_robust ?options ?strict ?verify ?name src =
+let compile_source_robust ?options ?strict ?verify ?deadline_s ?name src =
   match Frontend.parse_program_diag ?name src with
   | Error ds -> Error ds
   | Ok (program, warns) -> (
-      match compile_robust ?options ?strict ?verify program with
+      match compile_robust ?options ?strict ?verify ?deadline_s program with
       | Ok (r, ds) -> Ok (r, warns @ ds)
       | Error ds -> Error (warns @ ds))

@@ -132,8 +132,9 @@ val compile_original : ?options:options -> Ir.program -> result
 
     [compile_robust] never raises (other than genuine out-of-memory /
     interrupt): every failure of a scheduling rung — [No_transform], solver
-    budget exhaustion ([Diag.Budget_exceeded]), or any unexpected exception —
-    is recorded as a warning diagnostic and the next rung is tried:
+    budget exhaustion ([Diag.Budget_exceeded]), an expired deadline
+    ([Deadline.Expired]), or any unexpected exception — is recorded as a
+    warning diagnostic and the next rung is tried:
 
     + the fast fusion/dimension-matching scheduler ({!Pluto.Fastmatch}),
       when [options.fast_schedule] — zero ILP solves, and its output only
@@ -153,28 +154,38 @@ val compile_original : ?options:options -> Ir.program -> result
     With [strict:true] the ladder is disabled: the first failure returns
     [Error] immediately (the CLI's [--strict]). *)
 
-(** [compile_robust ?options ?strict ?verify p] — [Ok (result, warnings)]
-    where the warnings record each degradation step (codes
-    ["degraded-feautrier"], ["degraded-identity"] plus the demoted failure
-    reasons), or [Error diagnostics] when no rung could emit code.
+(** [compile_robust ?options ?strict ?verify ?deadline_s p] —
+    [Ok (result, warnings)] where the warnings record each degradation step
+    (codes ["degraded-feautrier"], ["degraded-identity"] plus the demoted
+    failure reasons), or [Error diagnostics] when no rung could emit code.
 
     With [verify:true] every rung's output is additionally checked by the
     translation validator ({!Verify.validate}); a rung whose output fails
     validation is treated exactly like a rung that crashed (code
-    ["verify-failed"]) and the ladder degrades to the next rung. *)
+    ["verify-failed"]) and the ladder degrades to the next rung.
+
+    With [deadline_s], the fast, Pluto and Feautrier rungs run inside one
+    {!Deadline.within}: each spends what the rungs before it left, and a
+    rung still searching when the deadline passes fails with code
+    ["deadline"].  The identity rung searches nothing and runs outside the
+    deadline, so an expired deadline yields the degraded original-order
+    result, never a missing one. *)
 val compile_robust :
   ?options:options ->
   ?strict:bool ->
   ?verify:bool ->
+  ?deadline_s:float ->
   Ir.program ->
   (result * Diag.t list, Diag.t list) Stdlib.result
 
-(** [compile_source_robust ?options ?strict ?verify ?name src] — parse first
-    (collecting all frontend diagnostics), then {!compile_robust}. *)
+(** [compile_source_robust ?options ?strict ?verify ?deadline_s ?name src] —
+    parse first (collecting all frontend diagnostics), then
+    {!compile_robust}. *)
 val compile_source_robust :
   ?options:options ->
   ?strict:bool ->
   ?verify:bool ->
+  ?deadline_s:float ->
   ?name:string ->
   string ->
   (result * Diag.t list, Diag.t list) Stdlib.result
@@ -184,11 +195,11 @@ val compile_source_robust :
 val degraded : Diag.t list -> bool
 
 (** [attempt ~what f] — the ladder's exception wall: run [f], converting any
-    failure ([Diag.Budget_exceeded], [Diag.Diagnostic], scheduler
-    give-ups, stack overflow, anything unexpected) into an [Error]
-    diagnostic prefixed with [what].  Only genuine out-of-memory/interrupt
-    conditions propagate.  Exposed for tests and embedders building their
-    own rungs. *)
+    failure ([Diag.Budget_exceeded], [Deadline.Expired] as code
+    ["deadline"], [Diag.Diagnostic], scheduler give-ups, stack overflow,
+    anything unexpected) into an [Error] diagnostic prefixed with [what].
+    Only genuine out-of-memory/interrupt conditions propagate.  Exposed for
+    tests and embedders building their own rungs. *)
 val attempt : what:string -> (unit -> 'a) -> ('a, Diag.t) Stdlib.result
 
 (** [verify ?param_lo ?param_hi ?claim_ctx ?params r] — run the independent

@@ -160,24 +160,10 @@ let schedule_rows ?(config = config) (p : Ir.program) (deps : Deps.t list) =
   let order = Putil.range (lay.np + 1) in
   let dims = ref [] in
   let unsatisfied = ref (List.map (fun d -> d.Deps.id) legality) in
-  let deadline =
-    Option.map
-      (fun dt -> Sys.time () +. dt)
-      config.Pluto.Auto.search_time_limit_s
-  in
-  let check_deadline () =
-    match deadline with
-    | Some d when Sys.time () > d ->
-        raise
-          (Diag.Budget_exceeded
-             (Printf.sprintf "Feautrier schedule search exceeded %gs"
-                (Option.get config.Pluto.Auto.search_time_limit_s)))
-    | _ -> ()
-  in
   let guard = ref 0 in
   while !unsatisfied <> [] && !guard < 8 do
     incr guard;
-    check_deadline ();
+    Deadline.check ();
     (* base: δ >= 0 for every unsatisfied dep + latency bound *)
     let base =
       List.fold_left
@@ -190,7 +176,7 @@ let schedule_rows ?(config = config) (p : Ir.program) (deps : Deps.t list) =
     let sys = ref base in
     List.iter
       (fun id ->
-        check_deadline ();
+        Deadline.check ();
         let cs = List.assoc id strong in
         let candidate = Polyhedra.meet !sys cs in
         match Milp.lexmin_order ~nonneg:true ~budget candidate order with

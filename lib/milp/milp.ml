@@ -30,9 +30,9 @@ type ilp_result =
   | Ilp_infeasible
   | Ilp_unbounded
 
-type budget = { max_nodes : int; time_limit_s : float option }
+type budget = { max_nodes : int }
 
-let default_budget = { max_nodes = 200_000; time_limit_s = None }
+let default_budget = { max_nodes = 200_000 }
 
 let warm_enabled = ref true
 let set_warm b = warm_enabled := b
@@ -439,16 +439,9 @@ let std_bound_row ~nonneg ~nv ~nv0 j ~ge (bound : Q.t) =
   if not nonneg then a.(nv0 + j) <- Q.neg s;
   (a, if ge then Q.neg bound else bound)
 
-(* The clock time budgets are measured on.  Wall time, as milp.mli promises —
-   not Sys.time, whose CPU accounting stands still while the process sleeps
-   or waits on I/O, letting a stalled solver blow far past its advertised
-   allowance. *)
-let now = Unix.gettimeofday
-
 type bb_ctl = {
   bud : budget;
   nodes : int ref;
-  deadline : float option;
   warm : bool;
   nonneg : bool;
   nv : int;
@@ -477,18 +470,7 @@ let rec bb_node ctl (sys : Polyhedra.t) start =
          (Printf.sprintf
             "Milp.ilp: branch-and-bound exceeded the %d-node budget"
             ctl.bud.max_nodes));
-  (* [>=]: a zero allowance means the deadline has passed the moment it is
-     armed, even when the clock has not ticked between arming and checking. *)
-  (match ctl.deadline with
-  | Some dl when now () >= dl ->
-      raise
-        (Diag.Budget_exceeded
-           (Printf.sprintf
-              "Milp.ilp: branch-and-bound exceeded the %.3fs time budget \
-               (%d nodes explored)"
-              (Option.get ctl.bud.time_limit_s)
-              !(ctl.nodes)))
-  | _ -> ());
+  Deadline.check ();
   let cold () =
     let _, _, rows = to_standard ~nonneg:ctl.nonneg sys in
     solve_standard_dict ctl.nv rows ctl.c_std
@@ -562,10 +544,6 @@ let make_ctl ~nonneg ~warm ~budget (sys : Polyhedra.t) (objective : Vec.t) =
   {
     bud = budget;
     nodes = ref 0;
-    deadline =
-      (match budget.time_limit_s with
-      | None -> None
-      | Some dt -> Some (now () +. dt));
     warm;
     nonneg;
     nv;

@@ -49,20 +49,17 @@ type ilp_result =
   | Ilp_infeasible
   | Ilp_unbounded
 
-(** Resource budget for branch-and-bound: a node-count limit and an optional
-    wall-clock allowance.  When exhausted the solver raises
-    [Diag.Budget_exceeded] instead of running unboundedly — callers at layer
-    boundaries catch it and degrade (conservative answer or a lower rung of
-    the scheduling ladder). *)
-type budget = { max_nodes : int; time_limit_s : float option }
+(** Resource budget for branch-and-bound: a node-count limit.  When
+    exhausted the solver raises [Diag.Budget_exceeded] instead of running
+    unboundedly — callers at layer boundaries catch it and degrade
+    (conservative answer or a lower rung of the scheduling ladder).  Time is
+    not part of the budget: every node calls {!Deadline.check}, so a solve
+    inside {!Deadline.within} stops with [Deadline.Expired] once the
+    caller's deadline has passed. *)
+type budget = { max_nodes : int }
 
-(** 200_000 nodes, no time limit. *)
+(** 200_000 nodes. *)
 val default_budget : budget
-
-(** The clock [time_limit_s] is measured on: wall time ([Unix.gettimeofday]),
-    so a solver that sleeps or blocks still trips its allowance — not CPU
-    time, which stands still in an idle process. *)
-val now : unit -> float
 
 (** [set_warm false] disables warm starts globally (every node re-solves
     cold and {!feasible_cached} stops caching); [true] restores the default.
@@ -73,7 +70,8 @@ val set_warm : bool -> unit
     [obj·x] over the integer points of [sys].  [warm] overrides the global
     {!set_warm} toggle for this call.
     @raise Diag.Budget_exceeded when the branch-and-bound tree exceeds the
-    budget's node or time limit. *)
+    budget's node limit.
+    @raise Deadline.Expired past the enclosing {!Deadline.within}. *)
 val ilp :
   ?nonneg:bool -> ?budget:budget -> ?warm:bool -> Polyhedra.t -> Vec.t ->
   ilp_result

@@ -4,19 +4,19 @@
    exception.
 
    Protocol: each worker is a [Unix.fork] with a dedicated pipe.  The worker
-   resets {!Stats}, runs the task under an optional SIGALRM budget, marshals
-   [(result, stats snapshot)] up the pipe and hard-exits with [Unix._exit]
-   (so the parent's buffered output is never flushed twice).  The parent
-   drains every worker's pipe with [select] *before* reaping it — a payload
-   larger than the pipe buffer (batch workers ship whole generated C files)
-   would otherwise deadlock worker-write against parent-wait — and then
-   parses the accumulated bytes with [Marshal.from_string], mapping any
-   parse failure or abnormal exit to the structured crash path.
+   resets {!Stats}, runs the task, marshals [(result, stats snapshot)] up
+   the pipe and hard-exits with [Unix._exit] (so the parent's buffered
+   output is never flushed twice).  The parent drains every worker's pipe
+   with [select] *before* reaping it — a payload larger than the pipe
+   buffer (batch workers ship whole generated C files) would otherwise
+   deadlock worker-write against parent-wait — and then parses the
+   accumulated bytes with [Marshal.from_string], mapping any parse failure
+   or abnormal exit to the structured crash path.  A worker past its
+   per-task budget is SIGKILLed by the parent: no signal is ever delivered
+   into the task itself.
 
-   Crashed tasks are requeued with exponential backoff
-   (retry_backoff_s * 2^(attempt-1)); a retry whose start time would fall
-   past the optional overall deadline is not attempted and the task fails
-   with code "pool-deadline".
+   Crashed tasks are requeued with exponential backoff (0.05 s, doubling
+   per attempt).
 
    Fault injection ({!Fault}): the parent decides per spawn whether the
    child should SIGKILL itself ("pool.worker.kill") or truncate its payload
@@ -31,31 +31,9 @@ type 'r outcome = {
   elapsed_s : float;
 }
 
-(* What crosses the pipe: the task's own result or a structured failure,
-   plus the worker's stats delta. *)
-type wire_error = Wire_exn of string | Wire_timeout of float
-
-exception Task_timeout
-
-(* Run [f] under a SIGALRM wall-clock budget ([None]/[<= 0] = unlimited). *)
-let with_timeout ~seconds f =
-  match seconds with
-  | Some s when s > 0.0 ->
-      let old =
-        Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Task_timeout))
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          ignore (Unix.alarm 0);
-          Sys.set_signal Sys.sigalrm old)
-        (fun () ->
-          ignore (Unix.alarm (max 1 (int_of_float (Float.ceil s))));
-          f ())
-  | _ -> f ()
-
 let timeout_diag s =
   Diag.errorf ~code:"pool-timeout"
-    "worker task exceeded its %gs wall-clock budget" s
+    "worker task exceeded its %gs wall-clock budget; the worker was killed" s
 
 let exn_diag msg = Diag.errorf ~code:"worker-exception" "worker task raised: %s" msg
 
@@ -71,48 +49,33 @@ let crash_diag ~attempts status =
     "worker %s without a complete result payload (%d attempt%s)" how attempts
     (if attempts = 1 then "" else "s")
 
-let deadline_diag ~attempts deadline_s =
-  Diag.errorf ~code:"pool-deadline"
-    "worker crashed and the retry would start past the pool's %gs deadline \
-     (%d attempt%s)"
-    deadline_s attempts
-    (if attempts = 1 then "" else "s")
-
-let of_wire = function
-  | Ok v -> Ok v
-  | Error (Wire_exn msg) -> Error (exn_diag msg)
-  | Error (Wire_timeout s) ->
-      Stats.incr "pool.timeouts";
-      Error (timeout_diag s)
-
 (* ------------------------------ sequential ------------------------------- *)
 
-(* jobs <= 1: run in-process, but with the same stats accounting as a forked
-   worker (reset before the task, merge the delta after), so per-task
-   counters read by [f] and the parent's totals are mode-independent. *)
-let run_sequential ?task_timeout_s ~f x =
+(* jobs <= 1 without a timeout: run in-process, but with the same stats
+   accounting as a forked worker (reset before the task, merge the delta
+   after), so per-task counters read by [f] and the parent's totals are
+   mode-independent. *)
+let run_sequential ~f x =
   let parent = Stats.snapshot () in
   Stats.reset ();
-  let t0 = Unix.gettimeofday () in
-  let res =
-    match with_timeout ~seconds:task_timeout_s (fun () -> f x) with
-    | v -> Ok v
-    | exception Task_timeout ->
-        Error (Wire_timeout (Option.value task_timeout_s ~default:0.0))
-    | exception ((Out_of_memory | Sys.Break) as e) ->
-        let task = Stats.snapshot () in
-        Stats.reset ();
-        Stats.merge parent;
-        Stats.merge task;
-        raise e
-    | exception e -> Error (Wire_exn (Printexc.to_string e))
+  let restore () =
+    let task = Stats.snapshot () in
+    Stats.reset ();
+    Stats.merge parent;
+    Stats.merge task
   in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let task = Stats.snapshot () in
-  Stats.reset ();
-  Stats.merge parent;
-  Stats.merge task;
-  { value = of_wire res; retried = false; elapsed_s = elapsed }
+  let t0 = Unix.gettimeofday () in
+  let value =
+    match f x with
+    | v -> Ok v
+    | exception ((Out_of_memory | Sys.Break) as e) ->
+        restore ();
+        raise e
+    | exception e -> Error (exn_diag (Printexc.to_string e))
+  in
+  let elapsed_s = Unix.gettimeofday () -. t0 in
+  restore ();
+  { value; retried = false; elapsed_s }
 
 (* --------------------------- signal-safe cleanup -------------------------- *)
 
@@ -179,28 +142,21 @@ module Cleanup = struct
   let release id = Hashtbl.remove cleanups id
 end
 
-(* ------------------------------- fork pool ------------------------------- *)
+(* ------------------------------ worker handles ---------------------------- *)
 
-type 'a running = {
-  r_idx : int;
-  r_task : 'a;
-  r_attempts : int; (* attempts already spent, including this one *)
-  r_pid : int;
-  r_fd : Unix.file_descr;
-  r_buf : Buffer.t;
-  r_t0 : float;
+(* A handle wraps one forked worker: the daemon's event loop drives single
+   handles through [pump]/[kill], and [map] below is a loop over them. *)
+type 'r handle = {
+  h_pid : int;
+  h_fd : Unix.file_descr;
+  h_buf : Buffer.t;
+  h_t0 : float;
+  h_attempt : int;  (* 1 for a first attempt *)
+  mutable h_done : 'r outcome option;
+  mutable h_crashed : bool;  (* [h_done] is a crash, which [map] retries *)
 }
 
-(* A task waiting to (re)start; [p_ready_at] is 0 for first attempts and
-   now + backoff for retries. *)
-type 'a pending = {
-  p_idx : int;
-  p_task : 'a;
-  p_attempts : int;
-  p_ready_at : float;
-}
-
-let spawn ?task_timeout_s ~f (p : _ pending) =
+let spawn ~attempt ~f x =
   let r, w = Unix.pipe ~cloexec:false () in
   (* fault decisions are drawn in the parent, one per spawn, so a retry of
      a killed worker is a fresh draw rather than a guaranteed repeat *)
@@ -219,11 +175,7 @@ let spawn ?task_timeout_s ~f (p : _ pending) =
       Stats.reset ();
       if kill_child then Unix.kill (Unix.getpid ()) Sys.sigkill;
       let res =
-        match with_timeout ~seconds:task_timeout_s (fun () -> f p.p_task) with
-        | v -> Ok v
-        | exception Task_timeout ->
-            Error (Wire_timeout (Option.value task_timeout_s ~default:0.0))
-        | exception e -> Error (Wire_exn (Printexc.to_string e))
+        match f x with v -> Ok v | exception e -> Error (Printexc.to_string e)
       in
       (try
          let payload = Marshal.to_string (res, Stats.snapshot ()) [] in
@@ -241,160 +193,164 @@ let spawn ?task_timeout_s ~f (p : _ pending) =
       Unix.close w;
       Stats.incr "pool.spawned";
       {
-        r_idx = p.p_idx;
-        r_task = p.p_task;
-        r_attempts = p.p_attempts + 1;
-        r_pid = pid;
-        r_fd = r;
-        r_buf = Buffer.create 4096;
-        r_t0 = Unix.gettimeofday ();
+        h_pid = pid;
+        h_fd = r;
+        h_buf = Buffer.create 4096;
+        h_t0 = Unix.gettimeofday ();
+        h_attempt = attempt;
+        h_done = None;
+        h_crashed = false;
       }
 
-let map ~jobs ?task_timeout_s ?(retries = 1) ?(retry_backoff_s = 0.05)
-    ?retry_deadline_s ~f tasks =
-  let n = List.length tasks in
-  Stats.add "pool.tasks" n;
-  if jobs <= 1 then List.map (run_sequential ?task_timeout_s ~f) tasks
-  else begin
-    let t_start = Unix.gettimeofday () in
-    let deadline = Option.map (fun s -> t_start +. s) retry_deadline_s in
-    let pending =
-      ref
-        (List.mapi
-           (fun i x -> { p_idx = i; p_task = x; p_attempts = 0; p_ready_at = 0.0 })
-           tasks)
-    in
-    let results : (int, 'r outcome) Hashtbl.t = Hashtbl.create n in
-    let running = ref [] in
-    let finalize w status =
-      let elapsed = Unix.gettimeofday () -. w.r_t0 in
-      let payload =
-        match
-          (Marshal.from_string (Buffer.contents w.r_buf) 0
-            : ('r, wire_error) result * Stats.snapshot)
-        with
-        | p -> Some p
-        | exception _ -> None
-      in
-      match payload with
-      | Some (res, snap) ->
-          Stats.merge snap;
-          Hashtbl.replace results w.r_idx
-            { value = of_wire res; retried = w.r_attempts > 1; elapsed_s = elapsed }
-      | None ->
-          (* dead worker / truncated payload: structured diagnostic, and a
-             bounded number of backed-off retries on fresh workers *)
-          Stats.incr "pool.crashes";
-          let now = Unix.gettimeofday () in
-          let backoff =
-            retry_backoff_s *. (2.0 ** float_of_int (w.r_attempts - 1))
-          in
-          let ready_at = now +. backoff in
-          let within_deadline =
-            match deadline with None -> true | Some d -> ready_at <= d
-          in
-          if w.r_attempts <= retries && within_deadline then begin
-            Stats.incr "pool.retries";
-            if backoff > 0.0 then Stats.incr "pool.backoff_waits";
-            pending :=
-              {
-                p_idx = w.r_idx;
-                p_task = w.r_task;
-                p_attempts = w.r_attempts;
-                p_ready_at = ready_at;
-              }
-              :: !pending
-          end
-          else
-            Hashtbl.replace results w.r_idx
-              {
-                value =
-                  (if within_deadline then
-                     Error (crash_diag ~attempts:w.r_attempts status)
-                   else
-                     Error
-                       (deadline_diag ~attempts:w.r_attempts
-                          (Option.get retry_deadline_s)));
-                retried = w.r_attempts > 1;
-                elapsed_s = elapsed;
-              }
-    in
-    let chunk = Bytes.create 65536 in
-    (* EINTR (real or injected) is a retry, never end-of-stream; any other
-       read error means the payload can't complete — treat it as EOF so the
-       truncated-payload crash path takes over. *)
-    let rec read_pipe fd =
-      if Fault.fire "pool.read.eintr" then begin
+let start ~f x =
+  Stats.incr "pool.tasks";
+  spawn ~attempt:1 ~f x
+
+let handle_fd h = if h.h_done = None then Some h.h_fd else None
+
+let reap pid =
+  match Unix.waitpid [] pid with
+  | _, st -> Some st
+  | exception Unix.Unix_error _ -> None
+
+let finish h ?(crashed = false) value =
+  let o =
+    { value; retried = h.h_attempt > 1; elapsed_s = Unix.gettimeofday () -. h.h_t0 }
+  in
+  h.h_done <- Some o;
+  h.h_crashed <- crashed;
+  o
+
+(* EINTR (real or injected) is a retry, never end-of-stream; any other read
+   error means the payload can't complete — treat it as EOF so the
+   truncated-payload crash path takes over. *)
+let rec read_pipe fd chunk =
+  if Fault.fire "pool.read.eintr" then begin
+    Stats.incr "pool.eintr_retries";
+    read_pipe fd chunk
+  end
+  else
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | n -> n
+    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
         Stats.incr "pool.eintr_retries";
-        read_pipe fd
+        read_pipe fd chunk
+    | exception Unix.Unix_error _ -> 0
+
+let pump h =
+  match h.h_done with
+  | Some o -> `Done o
+  | None ->
+      (* a fresh buffer per read: its allocation also paces the daemon's
+         major GC, which a shared buffer leaves idle long enough to raise
+         the daemon's peak RSS by about a tenth *)
+      let chunk = Bytes.create 65536 in
+      let n = read_pipe h.h_fd chunk in
+      if n > 0 then begin
+        Buffer.add_subbytes h.h_buf chunk 0 n;
+        `Pending
       end
-      else
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | n -> n
-        | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-            Stats.incr "pool.eintr_retries";
-            read_pipe fd
-        | exception Unix.Unix_error _ -> 0
-    in
-    let step timeout =
-      let fds = List.map (fun w -> w.r_fd) !running in
-      match Unix.select fds [] [] timeout with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | ready, _, _ ->
-          List.iter
-            (fun fd ->
-              let w = List.find (fun w -> w.r_fd = fd) !running in
-              let nread = read_pipe fd in
-              if nread > 0 then Buffer.add_subbytes w.r_buf chunk 0 nread
-              else begin
-                (* EOF: the worker closed its pipe (exit or crash); reap it *)
-                Unix.close fd;
-                let status =
-                  match Unix.waitpid [] w.r_pid with
-                  | _, st -> Some st
-                  | exception Unix.Unix_error _ -> None
-                in
-                running := List.filter (fun w' -> w' != w) !running;
-                finalize w status
-              end)
-            ready
+      else begin
+        (* EOF: the worker exited (or crashed); reap and parse *)
+        Unix.close h.h_fd;
+        let status = reap h.h_pid in
+        match
+          (Marshal.from_string (Buffer.contents h.h_buf) 0
+            : ('r, string) result * Stats.snapshot)
+        with
+        | res, snap ->
+            Stats.merge snap;
+            `Done (finish h (Result.map_error exn_diag res))
+        | exception _ ->
+            Stats.incr "pool.crashes";
+            `Done
+              (finish h ~crashed:true
+                 (Error (crash_diag ~attempts:h.h_attempt status)))
+      end
+
+(* SIGKILL and reap a running worker; its exit status. *)
+let terminate h =
+  (try Unix.kill h.h_pid Sys.sigkill with Unix.Unix_error _ -> ());
+  (try Unix.close h.h_fd with Unix.Unix_error _ -> ());
+  reap h.h_pid
+
+let kill h =
+  if h.h_done = None then
+    ignore (finish h (Error (crash_diag ~attempts:h.h_attempt (terminate h))))
+
+(* ------------------------------- fork pool ------------------------------- *)
+
+let backoff_base_s = 0.05
+
+let map ~jobs ?task_timeout_s ?(retries = 1) ~f tasks =
+  Stats.add "pool.tasks" (List.length tasks);
+  if jobs <= 1 && task_timeout_s = None then List.map (run_sequential ~f) tasks
+  else begin
+    (* only a forked worker can be killed, so a timeout always forks *)
+    let jobs = max 1 jobs in
+    let tasks = Array.of_list tasks in
+    let results = Array.make (Array.length tasks) None in
+    (* (index, attempts spent, earliest start) *)
+    let pending = ref (List.init (Array.length tasks) (fun i -> (i, 0, 0.0))) in
+    let running = ref [] in
+    let kill_at (_, h) = Option.map (fun s -> h.h_t0 +. s) task_timeout_s in
+    let settle ((i, h) as w) o =
+      running := List.filter (fun w' -> w' != w) !running;
+      if h.h_crashed && h.h_attempt <= retries then begin
+        (* a crashed worker is retried on a fresh one, backed off *)
+        Stats.incr "pool.retries";
+        Stats.incr "pool.backoff_waits";
+        let backoff = backoff_base_s *. (2.0 ** float_of_int (h.h_attempt - 1)) in
+        pending := (i, h.h_attempt, Unix.gettimeofday () +. backoff) :: !pending
+      end
+      else results.(i) <- Some o
     in
     while !pending <> [] || !running <> [] do
       let now = Unix.gettimeofday () in
-      let ready, waiting =
-        List.partition (fun p -> p.p_ready_at <= now) !pending
-      in
+      let due, waiting = List.partition (fun (_, _, at) -> at <= now) !pending in
       (* oldest attempts first, in index order, for deterministic spawning *)
-      let ready =
-        List.sort (fun a b -> compare (a.p_ready_at, a.p_idx) (b.p_ready_at, b.p_idx)) ready
-      in
       let rec launch = function
-        | p :: rest when List.length !running < jobs ->
-            running := spawn ?task_timeout_s ~f p :: !running;
+        | (i, spent, _) :: rest when List.length !running < jobs ->
+            running := (i, spawn ~attempt:(spent + 1) ~f tasks.(i)) :: !running;
             launch rest
         | rest -> rest
       in
-      let leftover = launch ready in
-      pending := leftover @ waiting;
-      let next_retry_in =
-        match waiting with
-        | [] -> None
-        | _ :: _ ->
-            let earliest =
-              List.fold_left (fun a p -> Float.min a p.p_ready_at) infinity
-                waiting
-            in
-            Some (Float.max 0.001 (earliest -. now))
+      pending :=
+        launch (List.sort (fun (i, _, a) (j, _, b) -> compare (a, i) (b, j)) due)
+        @ waiting;
+      (* the hard backstop: a worker past its budget is killed *)
+      Option.iter
+        (fun s ->
+          List.iter
+            (fun ((_, h) as w) ->
+              if now >= h.h_t0 +. s then begin
+                Stats.incr "pool.timeouts";
+                ignore (terminate h);
+                settle w (finish h (Error (timeout_diag s)))
+              end)
+            !running)
+        task_timeout_s;
+      let wake =
+        List.fold_left Float.min infinity
+          (List.map (fun (_, _, at) -> at) waiting
+          @ List.filter_map kill_at !running)
       in
-      if !running <> [] then
-        step (match next_retry_in with None -> -1.0 | Some s -> s)
+      let timeout =
+        if wake = infinity then -1.0 else Float.max 0.001 (wake -. now)
+      in
+      let fds = List.map (fun (_, h) -> h.h_fd) !running in
+      if fds = [] then (if timeout > 0.0 then Unix.sleepf timeout)
       else
-        (* nothing in flight: sleep until the first backed-off retry is due *)
-        match next_retry_in with
-        | Some s -> Unix.sleepf s
-        | None -> ()
+        match Unix.select fds [] [] timeout with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+        | ready, _, _ ->
+            List.iter
+              (fun fd ->
+                let w = List.find (fun (_, h) -> h.h_fd = fd) !running in
+                match pump (snd w) with `Pending -> () | `Done o -> settle w o)
+              ready
     done;
-    List.mapi (fun i _ -> Hashtbl.find results i) tasks
+    Array.to_list (Array.map Option.get results)
   end
 
 (* --------------------------- temp directories ---------------------------- *)
@@ -438,93 +394,3 @@ let with_temp_dir ?prefix f =
       Cleanup.release id;
       rm_rf dir)
     (fun () -> f dir)
-
-(* --------------------------- single async tasks --------------------------- *)
-
-(* The daemon's event loop multiplexes many compiles over [select]; it needs
-   workers it can start, poll, and kill individually rather than a blocking
-   [map].  A handle wraps one spawned worker; the owner selects on
-   [handle_fd] and calls [pump] when it's readable.  No retries here — a
-   crashed worker surfaces as its structured diagnostic and the caller
-   decides (the daemon answers the client with it). *)
-
-type 'r handle = {
-  mutable h_state : [ `Running of unit running | `Done of 'r outcome ];
-}
-
-let start ?task_timeout_s ~f x =
-  let p = { p_idx = 0; p_task = (); p_attempts = 0; p_ready_at = 0.0 } in
-  let w = spawn ?task_timeout_s ~f:(fun () -> f x) p in
-  Stats.incr "pool.tasks";
-  { h_state = `Running w }
-
-let handle_fd h =
-  match h.h_state with `Running w -> Some w.r_fd | `Done _ -> None
-
-let reap pid =
-  match Unix.waitpid [] pid with
-  | _, st -> Some st
-  | exception Unix.Unix_error _ -> None
-
-let pump h =
-  match h.h_state with
-  | `Done o -> `Done o
-  | `Running w ->
-      let chunk = Bytes.create 65536 in
-      let rec read_once () =
-        if Fault.fire "pool.read.eintr" then begin
-          Stats.incr "pool.eintr_retries";
-          read_once ()
-        end
-        else
-          match Unix.read w.r_fd chunk 0 (Bytes.length chunk) with
-          | n -> n
-          | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-              Stats.incr "pool.eintr_retries";
-              read_once ()
-          | exception Unix.Unix_error _ -> 0
-      in
-      let n = read_once () in
-      if n > 0 then begin
-        Buffer.add_subbytes w.r_buf chunk 0 n;
-        `Pending
-      end
-      else begin
-        (* EOF: worker exited (or crashed); reap and parse *)
-        Unix.close w.r_fd;
-        let status = reap w.r_pid in
-        let elapsed = Unix.gettimeofday () -. w.r_t0 in
-        let o =
-          match
-            (Marshal.from_string (Buffer.contents w.r_buf) 0
-              : ('r, wire_error) result * Stats.snapshot)
-          with
-          | res, snap ->
-              Stats.merge snap;
-              { value = of_wire res; retried = false; elapsed_s = elapsed }
-          | exception _ ->
-              Stats.incr "pool.crashes";
-              {
-                value = Error (crash_diag ~attempts:1 status);
-                retried = false;
-                elapsed_s = elapsed;
-              }
-        in
-        h.h_state <- `Done o;
-        `Done o
-      end
-
-let kill h =
-  match h.h_state with
-  | `Done _ -> ()
-  | `Running w ->
-      (try Unix.kill w.r_pid Sys.sigkill with Unix.Unix_error _ -> ());
-      (try Unix.close w.r_fd with Unix.Unix_error _ -> ());
-      let status = reap w.r_pid in
-      h.h_state <-
-        `Done
-          {
-            value = Error (crash_diag ~attempts:1 status);
-            retried = false;
-            elapsed_s = Unix.gettimeofday () -. w.r_t0;
-          }

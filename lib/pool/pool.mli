@@ -2,17 +2,19 @@
 
     Extracted from the autotuner and generalized so every layer that fans
     work out across processes — the tuner's candidate evaluations, the batch
-    compilation driver, tests — shares one pool with one failure story:
+    compilation driver, the compile daemon, tests — shares one pool with one
+    failure story:
 
     - a worker that dies (signal, [_exit], OOM-kill) or writes a truncated
       payload yields a structured {!Diag.t} (code ["worker-crashed"]) after
       its retries are exhausted — never a parent exception;
     - crashed tasks are retried on fresh workers with exponential backoff
-      ([retry_backoff_s * 2^(attempt-1)]); a retry that would start past
-      the optional overall [retry_deadline_s] is abandoned with code
-      ["pool-deadline"];
-    - a task exceeding the per-task SIGALRM wall-clock budget yields code
-      ["pool-timeout"];
+      (0.05 s, doubling per attempt);
+    - a task still running past its wall-clock budget is SIGKILLed by the
+      parent and yields code ["pool-timeout"].  No signal is delivered into
+      the task: the budget is a backstop for a worker that stopped
+      answering, while a compile that should finish in time degrades on its
+      own {!Deadline};
     - an exception raised by the task function yields code
       ["worker-exception"] (deterministic failures are not retried);
     - an [EINTR]'d pipe read (real, or injected via {!Fault} site
@@ -21,9 +23,9 @@
 
     Workers ship a {!Stats.snapshot} alongside their result and the parent
     merges it, so counters and timers ([--stats]) are accurate regardless of
-    [jobs].  The sequential path ([jobs <= 1]) uses the same reset/merge
-    accounting, so a task can read its own per-task counters in either mode
-    and totals are mode-independent.
+    [jobs].  The sequential path ([jobs <= 1], no timeout) uses the same
+    reset/merge accounting, so a task can read its own per-task counters in
+    either mode and totals are mode-independent.
 
     Results are keyed by task index and returned in input order: scheduling
     cannot affect what the caller sees.  Task inputs and outputs cross the
@@ -46,20 +48,18 @@ type 'r outcome = {
   elapsed_s : float;  (** wall-clock of the final attempt *)
 }
 
-(** [map ~jobs ?task_timeout_s ?retries ?retry_backoff_s ?retry_deadline_s
-    ~f tasks] — run [f] on every task, at most [jobs] concurrently on
-    forked workers ([jobs <= 1] runs in-process), each under
-    [task_timeout_s] seconds of wall clock (omit or [<= 0] = unlimited).
+(** [map ~jobs ?task_timeout_s ?retries ~f tasks] — run [f] on every task,
+    at most [jobs] concurrently on forked workers.  With [task_timeout_s],
+    a worker still running that many seconds after it started is killed;
+    such a task always runs on a forked worker, even at [jobs <= 1], since
+    only a worker can be killed.  Without it, [jobs <= 1] runs in-process.
     Crashed tasks are retried on a fresh worker up to [retries] times
-    (default 1), delayed by [retry_backoff_s * 2^(attempt-1)] seconds
-    (default base 0.05); with [retry_deadline_s], no retry is started after
-    that many seconds from the call.  Outcomes are in input order. *)
+    (default 1).  Outcomes are in input order.  {!map} drives the same
+    handles as {!start}/{!pump}/{!kill}. *)
 val map :
   jobs:int ->
   ?task_timeout_s:float ->
   ?retries:int ->
-  ?retry_backoff_s:float ->
-  ?retry_deadline_s:float ->
   f:('a -> 'r) ->
   'a list ->
   'r outcome list
@@ -75,10 +75,11 @@ val map :
 
 type 'r handle
 
-(** [start ?task_timeout_s ~f x] — fork one worker running [f x] under the
-    optional SIGALRM budget, with the same stats-shipping protocol and
-    fault sites as {!map} workers. *)
-val start : ?task_timeout_s:float -> f:('a -> 'r) -> 'a -> 'r handle
+(** [start ~f x] — fork one worker running [f x], with the same
+    stats-shipping protocol and fault sites as {!map} workers.  The worker
+    has no budget of its own: the handle's owner enforces one with
+    {!kill}. *)
+val start : f:('a -> 'r) -> 'a -> 'r handle
 
 (** The worker's pipe, to select on; [None] once the task is done. *)
 val handle_fd : 'r handle -> Unix.file_descr option
@@ -89,8 +90,8 @@ val handle_fd : 'r handle -> Unix.file_descr option
 val pump : 'r handle -> [ `Pending | `Done of 'r outcome ]
 
 (** SIGKILL the worker and reap it; the handle becomes [`Done] with a
-    ["worker-crashed"] outcome.  No-op if already done.  Used to enforce
-    per-request deadlines from the parent side. *)
+    ["worker-crashed"] outcome.  No-op if already done.  The daemon uses it
+    as the backstop behind each request's deadline. *)
 val kill : 'r handle -> unit
 
 (** {1 Signal-exit cleanup}

@@ -83,13 +83,14 @@ type task_reply = {
 
 (* Unlike {!Batch.compile_one}, the caches are *not* cleared: the worker
    inherited the daemon's hot tables and that is the whole point.  What it
-   adds is journaled and shipped back for the daemon to absorb. *)
-let compile_task (q : task_payload) : task_reply =
+   adds is journaled and shipped back for the daemon to absorb.  [deadline_s]
+   is what is left of the request's deadline when the worker starts. *)
+let compile_task ?deadline_s (q : task_payload) : task_reply =
   Memo.set_journal true;
   let t_code, t_diags, t_rung =
     match
       Driver.compile_source_robust ~options:q.q_options ~strict:q.q_strict
-        ~verify:q.q_verify ~name:q.q_name q.q_source
+        ~verify:q.q_verify ?deadline_s ~name:q.q_name q.q_source
     with
     | Error ds -> (None, ds, "none")
     | Ok (r, warns) ->
@@ -247,12 +248,14 @@ let spawn_ready st =
         go ()
       end
       else begin
-        let task_timeout_s =
-          Option.map (fun d -> Float.max 0.001 (d -. now)) job.j_deadline
+        (* the worker spends what is left of the deadline; [kill_expired]
+           is only the backstop *)
+        let deadline_s =
+          Option.map (fun d -> Float.max 0.0 (d -. now)) job.j_deadline
         in
         Stats.incr "server.compiles";
         job.j_handle <-
-          Some (Pool.start ?task_timeout_s ~f:compile_task job.j_payload);
+          Some (Pool.start ~f:(compile_task ?deadline_s) job.j_payload);
         st.running <- job :: st.running;
         st.n_running <- st.n_running + 1;
         go ()
@@ -283,7 +286,10 @@ let finish_job st job (o : task_reply Pool.outcome) =
       Stats.add "server.cache_absorbed" (Memo.journal_length r.t_journal);
       Stats.add "server.cache_evicted" (Memo.absorb r.t_journal);
       let c = { c_code = r.t_code; c_diags = r.t_diags; c_rung = r.t_rung } in
-      if c.c_code <> None then Memo.add st.results job.j_digest c;
+      (* a result that hit the deadline depends on timing, and the digest
+         does not cover the deadline: never cache it *)
+      if c.c_code <> None && not (Diag.has_code c.c_diags "deadline") then
+        Memo.add st.results job.j_digest c;
       let stats = Manifest.counters_to_json r.t_counters in
       answer_waiters job ~f:(fun w ~name ~elapsed ~coalesced ->
           respond_result ~coalesced ~stats w.w_conn w.w_slot ~name ~elapsed c)
@@ -295,14 +301,18 @@ let finish_job st job (o : task_reply Pool.outcome) =
 
 let deadline_diag d =
   Diag.errorf ~code:"pool-timeout"
-    "request exceeded its %gs deadline; the compile worker was killed" d
+    "request exceeded its %gs deadline by the %gs grace; the compile worker \
+     was killed"
+    d Deadline.grace_s
 
+(* The backstop: a worker that has not answered [Deadline.grace_s] after
+   its request's deadline is killed. *)
 let kill_expired st =
   let now = Unix.gettimeofday () in
   List.iter
     (fun job ->
       match job.j_deadline with
-      | Some d when now > d ->
+      | Some d when now > d +. Deadline.grace_s ->
           (match job.j_handle with Some h -> Pool.kill h | None -> ());
           Stats.incr "server.deadline_expired";
           job_done st job;
@@ -310,7 +320,7 @@ let kill_expired st =
               respond_result ~coalesced w.w_conn w.w_slot ~name ~elapsed
                 {
                   c_code = None;
-                  c_diags = [ deadline_diag (d -. now +. (now -. w.w_t0)) ];
+                  c_diags = [ deadline_diag (d -. w.w_t0) ];
                   c_rung = "none";
                 })
       | _ -> ())
@@ -738,7 +748,8 @@ let run cfg =
           List.fold_left
             (fun acc j ->
               match j.j_deadline with
-              | Some d -> Float.min acc (Float.max 0.001 (d -. now))
+              | Some d ->
+                  Float.min acc (Float.max 0.001 (d +. Deadline.grace_s -. now))
               | None -> acc)
             0.5 st.running
         in

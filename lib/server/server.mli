@@ -29,14 +29,22 @@
     {2 Semantics}
 
     Each compile is one forked {!Pool} worker ({!Pool.start}), so a crash
-    or deadline overrun costs exactly that request.  Requests are deduped
+    costs exactly that request.  A request's deadline (its ["deadline_s"],
+    else [default_deadline_s]) is the compile's {!Deadline}: the worker
+    gets what is left of it, and a compile still searching when it passes
+    degrades to the original program order with a ["deadline"] warning.
+    Only a worker still running {!Deadline.grace_s} past the deadline is
+    killed and answered with ["pool-timeout"] (counter
+    ["server.deadline_expired"]).  Requests are deduped
     by digest of (protocol version, canonical options, strict, verify,
     source): an identical request arriving while a compile is in flight
     joins it — one compile, every waiter answered from the single result
     (counter ["server.dedup_coalesced"]).  Finished results enter a
     {!Memo} table bounded by [result_cache_entries] and backed by the
     persistent {!Store} (kind ["server-result"], sub-versioned by
-    {!protocol_version}), so a restarted daemon serves warm from disk.
+    {!protocol_version}), so a restarted daemon serves warm from disk.  A
+    result that hit its deadline is never cached: it depends on timing, and
+    the digest does not cover the deadline.
     Workers inherit the daemon's hot in-memory solver caches by fork and
     journal what they add ({!Memo.take_journal}); the daemon absorbs each
     delta, so the caches heat up monotonically across requests without
@@ -85,9 +93,10 @@ type config = {
   tcp_port : int option;  (** also listen on 127.0.0.1:port *)
   jobs : int;  (** max concurrent compile workers *)
   default_deadline_s : float option;
-      (** per-request wall-clock budget when the request names none;
-          exceeding it kills the worker and answers with the structured
-          ["pool-timeout"] diagnostic *)
+      (** per-request wall-clock deadline when the request names none; the
+          compile degrades when it passes, and a worker still running
+          {!Deadline.grace_s} later is killed and answered with the
+          structured ["pool-timeout"] diagnostic *)
   result_cache_entries : int;  (** in-memory result table capacity *)
   max_connections : int;
       (** connection cap (default 768 — [Unix.select] tops out at 1024

@@ -23,8 +23,8 @@ let add_time k dt =
   | None -> Hashtbl.replace timers_tbl k (dt, 1)
 
 let time k f =
-  let t0 = Sys.time () in
-  Fun.protect ~finally:(fun () -> add_time k (Sys.time () -. t0)) f
+  let t0 = Unix.gettimeofday () in
+  Fun.protect ~finally:(fun () -> add_time k (Unix.gettimeofday () -. t0)) f
 
 let counters () =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) counters_tbl []

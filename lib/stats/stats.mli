@@ -82,8 +82,11 @@
       by workers and replayed into the daemon's hot tables
       ({!Memo.absorb});
     - ["server.failures"] — compile requests answered with status
-      ["error"] (including ["server.deadline_expired"], requests whose
-      worker was killed at the per-request deadline);
+      ["error"] (the backstop kills below included);
+    - ["server.deadline_expired"] — backstop kills: requests whose worker
+      was still running {!Deadline.grace_s} past the per-request deadline
+      (a compile that merely runs out of time degrades instead, so this
+      stays 0 while every compile reaches its deadline checks);
     - ["server.busy_rejections"] — requests (or whole connections, over
       [--max-connections]) answered with the structured ["server-busy"]
       entry at admission: pipeline window full ([--max-pipeline]) or
@@ -107,7 +110,8 @@
       the daemon's last-resort guard (the offending connection is
       closed, the daemon survives; 0 in every healthy run — the load
       suite enforces it);
-    - timers ["pass.deps"], ["pass.transform"], ["pass.codegen"]. *)
+    - timers ["pass.deps"], ["pass.transform"], ["pass.codegen"] (wall
+      clock, see {!time}). *)
 
 (** Forget all counters and timers (tests and the tuner's workers use this to
     scope measurements). *)
@@ -119,9 +123,10 @@ val incr : string -> unit
 (** [add k n] — add [n] to counter [k]. *)
 val add : string -> int -> unit
 
-(** [time k f] — run [f ()], adding its wall-clock-ish duration
-    ([Sys.time], CPU seconds — no Unix dependency) to timer [k] and bumping
-    its call count.  Exceptions propagate; the time still gets recorded. *)
+(** [time k f] — run [f ()], adding its wall-clock duration (seconds of
+    [Unix.gettimeofday], the clock {!Deadline} runs on) to timer [k] and
+    bumping its call count.  Exceptions propagate; the time still gets
+    recorded. *)
 val time : string -> (unit -> 'a) -> 'a
 
 val counter : string -> int

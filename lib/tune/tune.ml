@@ -1,7 +1,7 @@
 (* Model-guided empirical autotuner.  See tune.mli for the architecture; the
    moving parts below are, in order: the candidate space, the footprint
    pruner, the on-disk evaluation cache, single-candidate evaluation under a
-   wall-clock budget, the fork worker pool, and the search driver. *)
+   compile deadline, the fork worker pool, and the search driver. *)
 
 (* ---------------------------- candidate space ---------------------------- *)
 
@@ -256,68 +256,25 @@ let eval_kind = "tune-eval"
 
 (* ------------------------ candidate evaluation --------------------------- *)
 
-(* Run [f] under a SIGALRM wall-clock budget, surfacing expiry as the same
-   [Diag.Budget_exceeded] the solver budgets use, so a runaway candidate
-   degrades exactly like a runaway ILP. *)
-let with_wall_budget ~seconds f =
-  if seconds <= 0.0 then f ()
-  else begin
-    let old =
-      Sys.signal Sys.sigalrm
-        (Sys.Signal_handle
-           (fun _ ->
-             raise
-               (Diag.Budget_exceeded
-                  "Tune: per-candidate wall-clock budget exceeded")))
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        ignore (Unix.alarm 0);
-        Sys.set_signal Sys.sigalrm old)
-      (fun () ->
-        ignore (Unix.alarm (max 1 (int_of_float (Float.ceil seconds))));
-        f ())
-  end
-
 let diag_summary ds =
   String.concat "; "
     (List.map (fun (d : Diag.t) -> d.Diag.code ^ ": " ^ d.Diag.message) ds)
 
-let evaluate ~options ~machine ~params_vec ~candidate_time_s program cand :
-    payload =
+(* The candidate's compile runs under [deadline_s]; the simulation that
+   prices its result does not.  The flag says the compile hit the deadline:
+   such a cost depends on timing, so it is not cached. *)
+let evaluate ~options ~machine ~params_vec ~deadline_s program cand :
+    payload * bool =
   let opts = candidate_options options cand in
-  (* per-candidate budget both ways: the whole-search CPU deadline inside the
-     compiler (degrades via the ladder) and a hard wall-clock alarm around
-     everything (compile + simulate) *)
-  let opts =
-    {
-      opts with
-      Driver.auto =
-        {
-          opts.Driver.auto with
-          Pluto.Auto.search_time_limit_s =
-            (match opts.Driver.auto.Pluto.Auto.search_time_limit_s with
-            | Some t when candidate_time_s <= 0.0 || t < candidate_time_s ->
-                Some t
-            | _ when candidate_time_s > 0.0 -> Some candidate_time_s
-            | other -> other);
-        };
-    }
-  in
-  match
-    with_wall_budget ~seconds:candidate_time_s (fun () ->
-        match Driver.compile_robust ~options:opts ~verify:true program with
-        | Error ds -> Error (diag_summary ds)
-        | Ok (r, warns) ->
-            let sim = Machine.simulate machine r.Driver.code ~params:params_vec in
-            Ok (sim.Machine.cycles, sim.Machine.gflops, Driver.degraded warns))
-  with
-  | Ok (cycles, gflops, degraded) -> (cycles, gflops, degraded, None)
-  | Error msg -> (infinity, 0.0, false, Some msg)
-  | exception Diag.Budget_exceeded msg ->
-      (infinity, 0.0, false, Some ("budget: " ^ msg))
+  match Driver.compile_robust ~options:opts ~verify:true ?deadline_s program with
+  | Error ds ->
+      ((infinity, 0.0, false, Some (diag_summary ds)), Diag.has_code ds "deadline")
+  | Ok (r, warns) ->
+      let sim = Machine.simulate machine r.Driver.code ~params:params_vec in
+      ( (sim.Machine.cycles, sim.Machine.gflops, Driver.degraded warns, None),
+        Diag.has_code warns "deadline" )
   | exception ((Out_of_memory | Sys.Break) as e) -> raise e
-  | exception e -> (infinity, 0.0, false, Some (Printexc.to_string e))
+  | exception e -> ((infinity, 0.0, false, Some (Printexc.to_string e)), false)
 
 (* ----------------------------- worker pool ------------------------------- *)
 
@@ -325,17 +282,18 @@ let evaluate ~options ~machine ~params_vec ~candidate_time_s program cand :
    truncated payload comes back as a structured [Diag.t] (after one retry on a
    fresh worker) and is folded into the candidate's failure slot, so the
    search keeps its historical "a bad candidate never kills the search"
-   contract.  Timeouts stay inside [evaluate] ([with_wall_budget]), which
-   distinguishes a slow candidate from a crashed worker.  Only evaluations
-   that came back are passed to [save]: a crashed worker is not cached. *)
-let run_pool ~jobs ~save (tasks : (int * candidate) list)
-    (eval : candidate -> payload) : (int * payload) list =
-  let outcomes = Pool.map ~jobs ~f:(fun (_, c) -> eval c) tasks in
+   contract.  A slow candidate degrades inside [evaluate] on its deadline;
+   [task_timeout_s] only kills a worker that outlives it.  Only evaluations
+   that came back within their deadline are passed to [save]: neither a
+   crashed worker nor a timing-dependent cost is cached. *)
+let run_pool ~jobs ?task_timeout_s ~save (tasks : (int * candidate) list)
+    (eval : candidate -> payload * bool) : (int * payload) list =
+  let outcomes = Pool.map ~jobs ?task_timeout_s ~f:(fun (_, c) -> eval c) tasks in
   List.map2
-    (fun (i, c) (o : payload Pool.outcome) ->
+    (fun (i, c) (o : (payload * bool) Pool.outcome) ->
       match o.Pool.value with
-      | Ok p ->
-          save c p;
+      | Ok (p, hit_deadline) ->
+          if not hit_deadline then save c p;
           (i, p)
       | Error d ->
           (i, (infinity, 0.0, false, Some ("worker: " ^ d.Diag.message))))
@@ -418,11 +376,11 @@ let search ?(options = Driver.default_options)
   in
   Stats.add "tune.cache_hits" (List.length cached);
   Stats.add "tune.evaluated" (List.length to_eval);
-  let eval c =
-    evaluate ~options ~machine ~params_vec ~candidate_time_s program c
-  in
+  let deadline_s = if candidate_time_s > 0.0 then Some candidate_time_s else None in
+  let eval c = evaluate ~options ~machine ~params_vec ~deadline_s program c in
   let fresh =
     run_pool ~jobs
+      ?task_timeout_s:(Option.map (fun t -> t +. Deadline.grace_s) deadline_s)
       ~save:(fun c p -> Store.write ~kind:eval_kind ~key:(key c) p)
       to_eval eval
   in

@@ -21,15 +21,16 @@
       pinned {!Random.State.t} (the [PLUTO_FUZZ_SEED] protocol), so a run is
       reproduced exactly by its seed;
     + evaluates candidates — compile, verify, simulate at the given
-      parameter values — on a [Unix.fork] worker pool ([~jobs]), each under
-      a wall-clock budget that feeds the existing {!Diag.Budget_exceeded}
-      degradation ladder;
+      parameter values — on a [Unix.fork] worker pool ([~jobs]), each
+      compile under a {!Deadline} on which it degrades down the driver's
+      ladder;
     + memoizes evaluations in the persistent {!Store} (kind ["tune-eval"],
       keyed by program digest, candidate, machine config, parameters and
       every option: the canonical wire encoding of
-      {!Driver.option_fields} plus the search configuration) whenever a store is enabled ([plutocc --cache-dir]), so a
-      warm rerun performs zero evaluations.  A worker crash is never
-      cached.
+      {!Driver.option_fields} plus the search configuration) whenever a
+      store is enabled ([plutocc --cache-dir]), so a warm rerun performs
+      zero evaluations.  A worker crash is never cached, nor an evaluation
+      whose compile hit its deadline (its cost depends on timing).
 
     The result is the best *verified* variant, plus a full report. *)
 
@@ -115,11 +116,14 @@ val pp_report_summary : Format.formatter -> report -> unit
     @param options base driver options (default {!Driver.default_options})
     @param machine the cost oracle's machine (default
       {!Machine.default_machine})
-    @param jobs fork-pool width; [<= 1] evaluates in-process (default 1)
+    @param jobs fork-pool width (default 1); with [candidate_time_s <= 0]
+      and [jobs <= 1] candidates are evaluated in-process
     @param budget max candidates to evaluate after pruning (default 24);
       the default and T=64 anchors are always kept
-    @param candidate_time_s per-candidate wall-clock budget in seconds
-      (default 20.); exhaustion degrades/fails that candidate only
+    @param candidate_time_s each candidate's compile deadline in seconds
+      (default 20.; [<= 0]: none).  A compile still searching when it
+      passes degrades down the ladder; a worker still running
+      {!Deadline.grace_s} later is killed and that candidate fails.
     @param seed search-order seed (default {!Putil.Seed.default}; the CLI
       passes the [PLUTO_FUZZ_SEED] resolution)
     @param params parameter values for the oracle; parameters of the program

@@ -132,7 +132,7 @@ let obligation ~count ~failures ~what f =
         failf "budget" "%s: obligation not discharged (budget exhausted: %s)" what
           msg
         :: !failures
-  | exception ((Out_of_memory | Sys.Break) as e) -> raise e
+  | exception ((Out_of_memory | Sys.Break | Deadline.Expired) as e) -> raise e
   | exception e ->
       failures :=
         failf "internal" "%s: validator error: %s" what (Printexc.to_string e)
@@ -588,7 +588,7 @@ let validate_coverage ~params (p : Ir.program) (cg : Codegen.t) =
   | Coverage_fail f -> failures := f :: !failures
   | Diag.Budget_exceeded msg ->
       failures := failf "budget" "coverage: %s" msg :: !failures
-  | (Out_of_memory | Sys.Break) as e -> raise e
+  | (Out_of_memory | Sys.Break | Deadline.Expired) as e -> raise e
   | e ->
       failures :=
         failf "internal" "coverage: validator error: %s" (Printexc.to_string e)

@@ -76,8 +76,9 @@ val ok : report -> bool
 (** [validate_transform ?param_lo ?param_hi ?claim_ctx p deps t] discharges
     the legality and claim obligations.  Defaults: parameters bounded in
     [[1, 10]] for legality, fixed to [claim_ctx = 100] (the search's context)
-    for claim checks.  Never raises: budget exhaustion and unexpected errors
-    become failures with codes ["budget"] / ["internal"]. *)
+    for claim checks.  Budget exhaustion and unexpected errors become
+    failures with codes ["budget"] / ["internal"]; only [Out_of_memory],
+    an interrupt and {!Deadline.Expired} propagate. *)
 val validate_transform :
   ?param_lo:int ->
   ?param_hi:int ->

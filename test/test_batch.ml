@@ -125,6 +125,38 @@ let test_jobs_independence () =
       Alcotest.(check bool) "identical code" true (codes m1 = codes m4);
       Alcotest.(check bool) "identical solver counters" true (c1 = c4))
 
+(* A file over --batch-timeout degrades instead of dying.  fdtd-2d's exact
+   search takes seconds; under a 0.5s timeout every rung that searches
+   stops on the deadline and the identity rung answers, well before the
+   pool's kill backstop — at jobs 1 (which still forks, to have a worker to
+   kill) and 2 alike. *)
+let test_timeout_degrades () =
+  Pool.with_temp_dir ~prefix:"batch_test" (fun dir ->
+      let file = Filename.concat dir "fdtd-2d.c" in
+      write_file file Kernels.fdtd_2d.Kernels.source;
+      let options = { Driver.default_options with Driver.fast_schedule = false } in
+      List.iter
+        (fun jobs ->
+          let what fmt = Printf.sprintf ("jobs %d: " ^^ fmt) jobs in
+          let m = Batch.run ~options ~jobs ~task_timeout_s:0.5 [ file ] in
+          match m.Batch.m_entries with
+          | [ e ] ->
+              Alcotest.(check bool) (what "degraded") true
+                (e.Batch.e_status = Batch.Degraded);
+              Alcotest.(check string) (what "identity rung") "identity" e.Batch.e_rung;
+              Alcotest.(check bool) (what "deadline warning") true
+                (Diag.has_code e.Batch.e_diags "deadline");
+              List.iter
+                (fun code ->
+                  Alcotest.(check bool) (what "no %s diagnostic" code) false
+                    (Diag.has_code e.Batch.e_diags code))
+                [ "internal"; "pool-timeout" ];
+              Alcotest.(check bool)
+                (what "answered in %.2fs" e.Batch.e_elapsed_s)
+                true (e.Batch.e_elapsed_s < 1.5)
+          | es -> Alcotest.failf "%d entries for one file" (List.length es))
+        [ 1; 2 ])
+
 let suite =
   ( "batch",
     [
@@ -135,4 +167,5 @@ let suite =
         test_corrupt_store_entry;
       Fixtures.stats_case "jobs-independent counters" `Quick
         test_jobs_independence;
+      Fixtures.stats_case "timeout degrades to identity" `Quick test_timeout_degrades;
     ] )

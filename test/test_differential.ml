@@ -20,25 +20,21 @@ let seconds = getenv_pos "PLUTO_FUZZ_SECONDS"
    rotating variant, so all variants see a steady stream of programs while
    the total compile count stays ~2x the program count.
 
-   The base options carry a tight solver budget: some random programs make
-   the hyperplane-search ILPs genuinely hard, and an uncapped search can burn
-   tens of seconds on one input.  A capped search that degrades down the
-   ladder is exactly the behavior the suite wants to cover — the fallback's
-   output is differential-tested all the same. *)
+   The base options carry a tight solver budget and every compile a 0.5 s
+   deadline: some random programs make the hyperplane-search ILPs genuinely
+   hard, and an uncapped search can burn tens of seconds on one input.  A
+   capped search that degrades down the ladder is exactly the behavior the
+   suite wants to cover — the fallback's output is differential-tested all
+   the same. *)
 let base =
   {
     Driver.default_options with
     Driver.auto =
-      {
-        Pluto.Auto.default_config with
-        Pluto.Auto.budget =
-          { Milp.max_nodes = 10_000; Milp.time_limit_s = Some 0.1 };
-        Pluto.Auto.search_time_limit_s = Some 0.5;
-      };
+      { Pluto.Auto.default_config with Pluto.Auto.budget = { Milp.max_nodes = 10_000 } };
   }
 
-let force_budget =
-  { Milp.default_budget with Milp.time_limit_s = Some 0.0 }
+let deadline_s = 0.5
+let force_budget = { Milp.max_nodes = 0 }
 
 let variants =
   [
@@ -93,7 +89,7 @@ let fail_with_reproducer (g : Gen.t) ~config fmt =
 
 let check_one (g : Gen.t) ~config options =
   match
-    Driver.compile_source_robust ~options ~name:g.Gen.gen_name
+    Driver.compile_source_robust ~options ~deadline_s ~name:g.Gen.gen_name
       g.Gen.gen_source
   with
   | Error ds ->

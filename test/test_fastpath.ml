@@ -93,20 +93,15 @@ let test_kernel_differential () =
 
 (* --------------------- random-program differential slice ------------------ *)
 
-(* Tight solver budgets keep adversarial random programs cheap; degradations
-   down the ladder are fine — the output is differential-tested all the
-   same.  (Code equality between the two runs is NOT asserted here: the
-   wall-clock budgets make which rung wins timing-dependent.) *)
+(* A tight solver budget and a 0.5 s deadline keep adversarial random
+   programs cheap; degradations down the ladder are fine — the output is
+   differential-tested all the same.  (Code equality between the two runs is
+   NOT asserted here: the deadline makes which rung wins timing-dependent.) *)
 let random_base =
   {
     Driver.default_options with
     Driver.auto =
-      {
-        Pluto.Auto.default_config with
-        Pluto.Auto.budget =
-          { Milp.max_nodes = 10_000; Milp.time_limit_s = Some 0.1 };
-        Pluto.Auto.search_time_limit_s = Some 0.5;
-      };
+      { Pluto.Auto.default_config with Pluto.Auto.budget = { Milp.max_nodes = 10_000 } };
   }
 
 let test_random_differential () =
@@ -119,7 +114,7 @@ let test_random_differential () =
     let g = Gen.generate st in
     let run config options =
       match
-        Driver.compile_source_robust ~options ~name:g.Gen.gen_name
+        Driver.compile_source_robust ~options ~deadline_s:0.5 ~name:g.Gen.gen_name
           g.Gen.gen_source
       with
       | Ok (r, ds) -> (r, ds)

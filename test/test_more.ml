@@ -80,7 +80,7 @@ let test_milp_node_limit () =
   let sys = Polyhedra.of_constrs n cs in
   (match
      Milp.ilp
-       ~budget:{ Milp.max_nodes = 1; time_limit_s = None }
+       ~budget:{ Milp.max_nodes = 1 }
        sys (Vec.zero n)
    with
   | exception Diag.Budget_exceeded _ -> ()

@@ -90,18 +90,14 @@ let branching_system n =
   in
   Polyhedra.of_constrs n cs
 
-let test_milp_time_budget () =
+let test_milp_node_budget () =
   let n = 6 in
   let sys = branching_system n in
-  match
-    Milp.ilp
-      ~budget:{ Milp.max_nodes = max_int; time_limit_s = Some 0.0 }
-      sys (Vec.zero n)
-  with
+  match Milp.ilp ~budget:{ Milp.max_nodes = 0 } sys (Vec.zero n) with
   | exception Diag.Budget_exceeded msg ->
-      Alcotest.(check bool) "message names the time budget" true
-        (Astring.String.is_infix ~affix:"time budget" msg)
-  | _ -> Alcotest.fail "expected Budget_exceeded from the 0s deadline"
+      Alcotest.(check bool) "message names the node budget" true
+        (Astring.String.is_infix ~affix:"0-node budget" msg)
+  | _ -> Alcotest.fail "expected Budget_exceeded from the zero-node budget"
 
 let test_fm_row_explosion_guard () =
   (* 8 lower and 8 upper bounds on x in terms of y: eliminating x would
@@ -179,18 +175,15 @@ let test_ladder_degrades_to_feautrier () =
         (Diag.has_errors ds);
       check_equiv r
 
-(* A zero time budget starves every scheduling ILP — the deadline check
-   fires on branch-and-bound entry — in both the Pluto search and the
-   Feautrier scheduler (the budget is threaded to both rungs): only the
-   solver-free identity rung is left. *)
+(* A zero-node budget starves every scheduling ILP — the node check fires
+   on branch-and-bound entry — in both the Pluto search and the Feautrier
+   scheduler (the budget is threaded to both rungs): only the solver-free
+   identity rung is left. *)
 let starved_options =
   {
     Driver.default_options with
     Driver.auto =
-      {
-        Pluto.Auto.default_config with
-        Pluto.Auto.budget = { Milp.max_nodes = max_int; time_limit_s = Some 0.0 };
-      };
+      { Pluto.Auto.default_config with Pluto.Auto.budget = { Milp.max_nodes = 0 } };
   }
 
 let test_ladder_degrades_to_identity () =
@@ -301,7 +294,7 @@ let suite =
         test_frontend_unclosed_brace;
       Alcotest.test_case "frontend never raises (diag API)" `Quick
         test_frontend_never_raises_parse_diag;
-      Alcotest.test_case "milp time budget" `Quick test_milp_time_budget;
+      Alcotest.test_case "milp node budget" `Quick test_milp_node_budget;
       Alcotest.test_case "fourier-motzkin row guard" `Quick
         test_fm_row_explosion_guard;
       Alcotest.test_case "ladder: clean compile, no degradation" `Quick

@@ -502,30 +502,77 @@ let test_sigkill_warm_restart () =
 
 (* -------------------------------- deadlines -------------------------------- *)
 
+(* An expired deadline degrades the compile instead of killing it: a 1ms
+   request is answered from the identity rung with a deadline warning, no
+   worker is killed, and the timing-dependent answer is not cached — the
+   same request without a deadline compiles for real. *)
 let test_deadline_expiry () =
   Pool.with_temp_dir ~prefix:"server" (fun dir ->
       let socket = Filename.concat dir "d.sock" in
       with_daemon ~jobs:1 ~socket (fun pid ->
-          (* 1ms: no worker can fork, parse, and schedule in time *)
           let r =
             compile_ok ~socket ~deadline_s:0.001 ~name:"slow.c" jacobi_src
           in
-          Alcotest.(check bool) "expired request fails" true
-            (r.Client.r_entry.Manifest.e_status = Manifest.Failed);
-          Alcotest.(check bool)
-            "failure is the structured pool-timeout diagnostic" true
-            (Diag.has_code r.Client.r_entry.Manifest.e_diags "pool-timeout");
-          Alcotest.(check int) "counted as deadline_expired" 1
+          let e = r.Client.r_entry in
+          Alcotest.(check bool) "expired request degrades" true
+            (e.Manifest.e_status = Manifest.Degraded);
+          Alcotest.(check string) "answered by the identity rung" "identity"
+            e.Manifest.e_rung;
+          Alcotest.(check bool) "with a deadline warning" true
+            (Diag.has_code e.Manifest.e_diags "deadline");
+          Alcotest.(check int) "no worker killed" 0
             (daemon_counter ~socket "server.deadline_expired");
-          (* the daemon survives its worker's death and keeps serving *)
-          Alcotest.(check bool) "daemon still answers pings" true
-            (Client.ping ~socket);
-          let ok = compile_ok ~socket ~name:"matmul.c" matmul_src in
-          Alcotest.(check bool) "subsequent request compiles fine" true
-            (ok.Client.r_entry.Manifest.e_status = Manifest.Success);
+          let again = compile_ok ~socket ~name:"slow.c" jacobi_src in
+          Alcotest.(check bool) "the degraded answer was not cached" false
+            again.Client.r_cached;
+          Alcotest.(check bool) "without a deadline the search runs" true
+            (again.Client.r_entry.Manifest.e_rung <> "identity"
+            && again.Client.r_entry.Manifest.e_status = Manifest.Success);
           Alcotest.(check bool) "shutdown" true (Client.shutdown ~socket);
           Alcotest.(check bool) "exit 0" true
             (wait_exit pid = Unix.WEXITED 0)))
+
+(* plutocc --batch --batch-timeout behaves the same standalone and through
+   --connect: the daemon degrades on the forwarded deadline exactly as a
+   local worker does, instead of killing the compile. *)
+let test_batch_timeout_through_daemon () =
+  Pool.with_temp_dir ~prefix:"server" (fun dir ->
+      let file = Filename.concat dir "fdtd-2d.c" in
+      Fixtures.write_file file Kernels.fdtd_2d.Kernels.source;
+      let socket = Filename.concat dir "d.sock" in
+      let run tag extra =
+        let manifest = Filename.concat dir (tag ^ ".json") in
+        let code =
+          Sys.command
+            (Printf.sprintf
+               "../bin/plutocc.exe --batch --no-fast-schedule --batch-timeout 0.5 %s \
+                -o %s --batch-manifest %s %s 2> /dev/null"
+               file (Filename.concat dir tag) manifest extra)
+        in
+        Alcotest.(check int) (tag ^ ": exit 2 (degraded)") 2 code;
+        let json = In_channel.with_open_bin manifest In_channel.input_all in
+        match
+          Option.map (Manifest.Json.mem "entries")
+            (Result.to_option (Manifest.Json.parse json))
+        with
+        | Some (Some (Manifest.Json.Arr [ j ])) -> (
+            match Manifest.entry_of_json j with
+            | Ok e ->
+                ( Manifest.status_name e.Manifest.e_status,
+                  e.Manifest.e_rung,
+                  List.map (fun (d : Diag.t) -> d.Diag.code) e.Manifest.e_diags )
+            | Error msg -> Alcotest.failf "%s: bad entry: %s" tag msg)
+        | _ -> Alcotest.failf "%s: no one-entry manifest" tag
+      in
+      let standalone = run "standalone" "" in
+      let status, rung, codes = standalone in
+      Alcotest.(check string) "degraded" "degraded" status;
+      Alcotest.(check string) "identity rung" "identity" rung;
+      Alcotest.(check bool) "deadline warning" true (List.mem "deadline" codes);
+      with_daemon ~socket (fun _pid ->
+          let daemon = run "daemon" ("--connect " ^ socket) in
+          Alcotest.(check bool) "same status, rung and codes through --connect" true
+            (daemon = standalone)))
 
 (* ----------------------------- graceful drain ------------------------------ *)
 
@@ -1085,8 +1132,10 @@ let suite =
         test_dedup_coalesces;
       Fixtures.stats_case "SIGKILL, then warm restart from the store" `Quick
         test_sigkill_warm_restart;
-      Fixtures.stats_case "deadline expiry is a structured failure" `Quick
+      Fixtures.stats_case "deadline expiry is a structured degradation" `Quick
         test_deadline_expiry;
+      Alcotest.test_case "batch timeout: --connect = standalone" `Quick
+        test_batch_timeout_through_daemon;
       Fixtures.stats_case "SIGTERM drains in-flight work" `Quick
         test_sigterm_drains;
       Fixtures.stats_case "oversize request gets bad-request + close" `Quick

@@ -240,7 +240,7 @@ let test_failed_compute_uncached () =
           Store.set_dir None;
           clear_solver_caches ())
         (fun () ->
-          let no_nodes = { Milp.max_nodes = 0; time_limit_s = None } in
+          let no_nodes = { Milp.max_nodes = 0 } in
           (match Milp.feasible_cached ~budget:no_nodes box with
           | _ -> Alcotest.fail "a zero-node budget must raise"
           | exception Diag.Budget_exceeded _ -> ());

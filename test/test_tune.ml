@@ -223,6 +223,25 @@ let test_worker_crash_not_cached () =
         (List.length again.Tune.r_outcomes)
         again.Tune.r_evaluated)
 
+(* A cost measured on a compile that hit its deadline depends on timing, so
+   it is not cached: under a 1µs deadline every candidate degrades, and a
+   rerun evaluates them all again. *)
+let test_deadline_not_cached () =
+  with_temp_dir (fun dir ->
+      let p = Kernels.program Kernels.jacobi_1d in
+      let rushed () =
+        Store.set_dir (Some dir);
+        Fun.protect
+          ~finally:(fun () -> Store.set_dir None)
+          (fun () -> fst (Tune.search ~budget:2 ~candidate_time_s:1e-6 ~seed:31 p))
+      in
+      let first = rushed () in
+      Alcotest.(check bool) "every candidate degraded" true
+        (List.for_all (fun o -> o.Tune.o_degraded) first.Tune.r_outcomes);
+      let again = rushed () in
+      Alcotest.(check int) "nothing was cached" 0 again.Tune.r_cache_hits;
+      Alcotest.(check int) "every candidate evaluated again" 2 again.Tune.r_evaluated)
+
 (* ------------------------- tuned beats baselines -------------------------- *)
 
 (* The reason the subsystem exists: the best verified candidate is never
@@ -300,6 +319,7 @@ let suite =
       Alcotest.test_case "corrupt cache = miss" `Slow test_cache_corruption_is_miss;
       Alcotest.test_case "worker crash is not cached" `Slow
         test_worker_crash_not_cached;
+      Alcotest.test_case "deadline hit is not cached" `Quick test_deadline_not_cached;
       Alcotest.test_case "tuned beats baselines (jacobi)" `Slow test_tuned_wins_jacobi;
       Alcotest.test_case "tuned beats baselines (matmul)" `Slow test_tuned_wins_matmul;
       Alcotest.test_case "unroll-jam annotation" `Quick test_unroll_jam_annotation;
