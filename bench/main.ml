@@ -426,11 +426,6 @@ let ablation_auto_scheduler () =
         (g "pluto" (Driver.compile p)))
     [ Kernels.jacobi_1d; Kernels.lu; Kernels.seidel ]
 
-(* ------------------------- system statistics ----------------------------- *)
-
-(* A summary of what the compiler does to every kernel: dependence counts by
-   kind, transformation depth, band structure, generated-code size.  Useful
-   when comparing against other polyhedral tools. *)
 (* -------------------------- solver substrate ------------------------------ *)
 
 (* A/B the incremental solver (warm-started branch-and-bound, warm lexmin,
@@ -497,55 +492,6 @@ let solver_substrate () =
       (Kernels.jacobi_1d, [ ("T", 16); ("N", 256) ]);
     ]
 
-(* ------------------------- batch throughput ------------------------------- *)
-
-(* The batch compilation layer: every kernel written out as a .c file and
-   compiled through [Batch.run], measuring files/second and total ILP solves
-   for jobs=1 vs jobs=4 and for a cold vs warm persistent solver store.  The
-   generated code must be identical in all four configurations — scheduling
-   and caching change how fast the answers arrive, never the answers. *)
-let batch_throughput () =
-  section "Batch compilation: worker pool + persistent solver store";
-  Pool.with_temp_dir ~prefix:"pluto_bench_batch" (fun dir ->
-      let files =
-        List.map
-          (fun (k : Kernels.t) ->
-            let path = Filename.concat dir (k.Kernels.name ^ ".c") in
-            let oc = open_out path in
-            output_string oc k.Kernels.source;
-            close_out oc;
-            path)
-          Kernels.all
-      in
-      let n = List.length files in
-      let run label ~jobs ?cache_dir () =
-        Milp.clear_caches ();
-        Polyhedra.clear_caches ();
-        Stats.reset ();
-        let t0 = Unix.gettimeofday () in
-        let m = Batch.run ~jobs ?cache_dir files in
-        let dt = Unix.gettimeofday () -. t0 in
-        Store.set_dir None;
-        let c name =
-          match List.assoc_opt name (Stats.counters ()) with
-          | Some v -> v
-          | None -> 0
-        in
-        Printf.printf "  %-26s %5.1f files/s  %6d solves  %6d store hits\n%!"
-          label
-          (float n /. dt)
-          (c "milp.solves") (c "store.hits");
-        List.map (fun (e : Batch.entry) -> e.Batch.e_code) m.Batch.m_entries
-      in
-      Printf.printf "  %d kernels through plutocc --batch:\n" n;
-      let seq = run "jobs=1, no store" ~jobs:1 () in
-      let par = run "jobs=4, no store" ~jobs:4 () in
-      let cache = Filename.concat dir "cache" in
-      let cold = run "jobs=4, cold store" ~jobs:4 ~cache_dir:cache () in
-      let warm = run "jobs=4, warm store" ~jobs:4 ~cache_dir:cache () in
-      Printf.printf "  generated code identical across all runs: %b\n"
-        (seq = par && par = cold && cold = warm))
-
 (* ------------------------- store resilience ------------------------------ *)
 
 (* The cost of surviving infrastructure faults: the kernel corpus compiled
@@ -609,91 +555,6 @@ let store_resilience () =
       Printf.printf "  generated code identical across all runs: %b\n"
         (clean = faulted && faulted = warm))
 
-(* ------------------------ fast scheduling path ---------------------------- *)
-
-(* A/B of the fast fusion/dimension-matching rung (lib/core/fastmatch)
-   against the exact ILP over the whole kernel corpus: scheduling-time ILP
-   solves (the dependence-analysis feasibility probes are warmed out of the
-   count first), compile_robust wall-clock, the fast path's verdict, and
-   the simulated performance of both results.  The fastpath differential
-   suite holds accepted schedules to bit-identical execution; this section
-   shows what taking the fast rung saves and costs. *)
-let fast_scheduling () =
-  section "Fast scheduling path: fusion + dimension matching vs exact ILP";
-  let nofast = { Driver.default_options with Driver.fast_schedule = false } in
-  let run options p =
-    (* warm the dependence-analysis probe memos so milp.solves below counts
-       only what the scheduling rungs spend *)
-    ignore (Deps.compute p : Deps.t list);
-    Stats.reset ();
-    let t0 = Unix.gettimeofday () in
-    match Driver.compile_robust ~options p with
-    | Ok (r, ds) ->
-        let dt = Unix.gettimeofday () -. t0 in
-        let solves =
-          match List.assoc_opt "milp.solves" (Stats.counters ()) with
-          | Some v -> v
-          | None -> 0
-        in
-        (r, ds, dt, solves)
-    | Error _ -> failwith "compile_robust failed on a corpus kernel"
-  in
-  Printf.printf "%-16s %8s | %7s %7s | %9s %9s | %8s %8s\n" "kernel" "verdict"
-    "solves" "solves" "time" "time" "GFLOPS" "GFLOPS";
-  Printf.printf "%-16s %8s | %7s %7s | %9s %9s | %8s %8s\n" "" "" "fast" "ilp"
-    "fast" "ilp" "fast" "ilp";
-  let fast_solves = ref 0 and ilp_solves = ref 0 in
-  let fast_time = ref 0.0 and ilp_time = ref 0.0 in
-  List.iter
-    (fun (k : Kernels.t) ->
-      let p = Kernels.program k in
-      let fr, fds, ft, fs = run Driver.default_options p in
-      let ir, _, it, is = run nofast p in
-      let verdict =
-        if Diag.has_code fds "fastpath-accepted" then "accept" else "reject"
-      in
-      let params = Kernels.params_vector p k.Kernels.bench_params in
-      let g series (r : Driver.result) =
-        let sim =
-          Machine.simulate Machine.default_machine r.Driver.code ~params
-        in
-        record ~figure:"fastpath" ~series ~x_label:k.Kernels.name ~x:0 sim;
-        sim.Machine.gflops
-      in
-      let fg = g "fast-on" fr and ig = g "fast-off" ir in
-      List.iter
-        (fun (metric, v) ->
-          record_metric ~figure:"fastpath" ~series:k.Kernels.name ~metric v)
-        [
-          ("ilp_solves_fast", float fs);
-          ("ilp_solves_ilp", float is);
-          ("compile_s_fast", ft);
-          ("compile_s_ilp", it);
-          ("accepted", if verdict = "accept" then 1.0 else 0.0);
-        ];
-      fast_solves := !fast_solves + fs;
-      ilp_solves := !ilp_solves + is;
-      fast_time := !fast_time +. ft;
-      ilp_time := !ilp_time +. it;
-      Printf.printf
-        "%-16s %8s | %7d %7d | %8.3fs %8.3fs | %8.3f %8.3f\n%!" k.Kernels.name
-        verdict fs is ft it fg ig)
-    Kernels.all;
-  let ratio a b = if a = 0 then Float.infinity else float b /. float a in
-  Printf.printf
-    "%-16s %8s | %7d %7d | %8.3fs %8.3fs |   (solve cut %.1fx, wall %.2fx)\n"
-    "total" "" !fast_solves !ilp_solves !fast_time !ilp_time
-    (ratio !fast_solves !ilp_solves)
-    (if !fast_time > 0.0 then !ilp_time /. !fast_time else Float.infinity);
-  record_metric ~figure:"fastpath" ~series:"total" ~metric:"ilp_solves_fast"
-    (float !fast_solves);
-  record_metric ~figure:"fastpath" ~series:"total" ~metric:"ilp_solves_ilp"
-    (float !ilp_solves);
-  record_metric ~figure:"fastpath" ~series:"total" ~metric:"compile_s_fast"
-    !fast_time;
-  record_metric ~figure:"fastpath" ~series:"total" ~metric:"compile_s_ilp"
-    !ilp_time
-
 (* --------------------------- reduction-aware ------------------------------ *)
 
 (* --reductions A/B over the kernels with markable accumulations: simulated
@@ -703,23 +564,7 @@ let fast_scheduling () =
 let reductions () =
   section "Reduction-aware scheduling: --reductions on vs off";
   let on_opts = { Driver.default_options with Driver.reductions = true } in
-  let rec par_levels = function
-    | Codegen.For { level; parallel; body; _ } ->
-        (if parallel then [ level ] else [])
-        @ List.concat_map par_levels body
-    | Codegen.Leaf _ -> []
-  in
-  let outer_parallel (r : Driver.result) =
-    List.mem 0
-      (List.concat_map par_levels r.Driver.code.Codegen.body)
-  in
-  let clauses (r : Driver.result) =
-    String.concat ","
-      (List.sort_uniq compare
-         (List.concat_map
-            (fun cs -> List.map (fun (o, v) -> o ^ ":" ^ v) cs)
-            (Array.to_list r.Driver.code.Codegen.reductions)))
-  in
+  let outer_parallel (r : Driver.result) = Omp_shape.outer_parallel r.Driver.code in
   Printf.printf "%-12s | %9s %9s | %7s %7s | %s\n" "kernel" "GFLOPS-off"
     "GFLOPS-on" "out-off" "out-on" "clauses";
   List.iter
@@ -754,140 +599,16 @@ let reductions () =
         ];
       Printf.printf "%-12s | %9.3f %9.3f | %7b %7b | %s\n%!" k.Kernels.name
         goff gon (outer_parallel off) (outer_parallel on)
-        (match clauses on with "" -> "-" | c -> c))
+        (match Omp_shape.clauses on.Driver.code with
+        | [] -> "-"
+        | cs -> String.concat "," cs))
     [ Kernels.dot; Kernels.histogram; Kernels.mvt; Kernels.lu ]
 
-(* ------------------------ compilation service ----------------------------- *)
+(* ------------------------- system statistics ----------------------------- *)
 
-(* The plutod daemon (lib/server): the kernel corpus requested over the
-   Unix socket against a cold daemon and then again against its warm
-   caches, compared with a standalone cold [Batch.run].  The daemon's
-   second pass must answer every request from its result cache — strictly
-   fewer ILP solves than any cold run — and every response must be
-   bit-identical to what the standalone batch produced. *)
-let daemon_service () =
-  section "Compilation service: plutod daemon vs standalone batch";
-  Pool.with_temp_dir ~prefix:"pluto_bench_daemon" (fun dir ->
-      let sources =
-        List.map
-          (fun (k : Kernels.t) -> (k.Kernels.name ^ ".c", k.Kernels.source))
-          Kernels.all
-      in
-      let n = List.length sources in
-      (* standalone reference: a cold batch over the same corpus *)
-      let files =
-        List.map
-          (fun (name, src) ->
-            let path = Filename.concat dir name in
-            let oc = open_out path in
-            output_string oc src;
-            close_out oc;
-            path)
-          sources
-      in
-      Milp.clear_caches ();
-      Polyhedra.clear_caches ();
-      Stats.reset ();
-      let t0 = Unix.gettimeofday () in
-      let m = Batch.run ~jobs:2 files in
-      let batch_dt = Unix.gettimeofday () -. t0 in
-      let batch_solves =
-        match List.assoc_opt "milp.solves" (Stats.counters ()) with
-        | Some v -> v
-        | None -> 0
-      in
-      let batch_codes =
-        List.map (fun (e : Batch.entry) -> e.Batch.e_code) m.Batch.m_entries
-      in
-      Printf.printf "  %d kernels, jobs=2:\n" n;
-      Printf.printf "  %-26s %5.1f files/s  %6d solves\n%!"
-        "standalone cold batch"
-        (float n /. batch_dt)
-        batch_solves;
-      (* the daemon, forked with cold caches of its own *)
-      let socket = Filename.concat dir "d.sock" in
-      let pid = Unix.fork () in
-      if pid = 0 then begin
-        (try
-           Milp.clear_caches ();
-           Polyhedra.clear_caches ();
-           Stats.reset ();
-           Store.set_dir None;
-           Server.run
-             { (Server.default_config ~socket_path:socket) with Server.jobs = 2 }
-         with _ -> Unix._exit 1);
-        Unix._exit 0
-      end;
-      let rec wait_ready tries =
-        match Client.connect socket with
-        | Some fd -> Client.close fd
-        | None ->
-            if tries = 0 then failwith "plutod did not come up"
-            else begin
-              Unix.sleepf 0.02;
-              wait_ready (tries - 1)
-            end
-      in
-      wait_ready 500;
-      let daemon_counter name =
-        match Client.stats ~socket with
-        | Error _ -> 0
-        | Ok line -> (
-            match Manifest.Json.parse line with
-            | Error _ -> 0
-            | Ok j -> (
-                match
-                  Option.bind (Manifest.Json.mem "stats" j)
-                    (Manifest.Json.mem "counters")
-                with
-                | Some c ->
-                    int_of_float (Manifest.Json.num_mem name c ~default:0.0)
-                | None -> 0))
-      in
-      let pass label =
-        let solves0 = daemon_counter "milp.solves" in
-        let hits0 = daemon_counter "server.result_cache_hits" in
-        let t0 = Unix.gettimeofday () in
-        let codes =
-          List.map
-            (fun (name, source) ->
-              match
-                Client.compile ~socket ~options:Driver.default_options ~name
-                  ~source ()
-              with
-              | `Daemon (Ok r) -> r.Client.r_entry.Manifest.e_code
-              | `Daemon (Error _) | `No_daemon -> None)
-            sources
-        in
-        let dt = Unix.gettimeofday () -. t0 in
-        let solves = daemon_counter "milp.solves" - solves0 in
-        let hits = daemon_counter "server.result_cache_hits" - hits0 in
-        Printf.printf "  %-26s %5.1f files/s  %6d solves  %6d cache hits\n%!"
-          label
-          (float n /. dt)
-          solves hits;
-        record_metric ~figure:"daemon" ~series:label ~metric:"files_per_s"
-          (float n /. dt);
-        record_metric ~figure:"daemon" ~series:label ~metric:"ilp_solves"
-          (float solves);
-        (codes, solves)
-      in
-      let cold_codes, _ = pass "daemon pass 1 (cold)" in
-      let warm_codes, warm_solves = pass "daemon pass 2 (warm)" in
-      ignore (Client.shutdown ~socket);
-      ignore (Unix.waitpid [] pid);
-      record_metric ~figure:"daemon" ~series:"standalone" ~metric:"ilp_solves"
-        (float batch_solves);
-      record_metric ~figure:"daemon" ~series:"standalone" ~metric:"files_per_s"
-        (float n /. batch_dt);
-      Printf.printf
-        "  daemon responses bit-identical to the standalone batch: %b\n"
-        (cold_codes = batch_codes && warm_codes = batch_codes);
-      Printf.printf
-        "  warm pass solves strictly below a cold run: %b (%d vs %d)\n"
-        (warm_solves < batch_solves)
-        warm_solves batch_solves)
-
+(* A summary of what the compiler does to every kernel: dependence counts by
+   kind, transformation depth, band structure, generated-code size.  Useful
+   when comparing against other polyhedral tools. *)
 let statistics () =
   section "System statistics (all kernels)";
   Printf.printf "%-16s %5s %5s %5s %5s %5s %6s %6s %6s %5s\n" "kernel" "stmts"
@@ -969,11 +690,8 @@ let () =
   ablations ();
   ablation_auto_scheduler ();
   solver_substrate ();
-  batch_throughput ();
   store_resilience ();
-  fast_scheduling ();
   reductions ();
-  daemon_service ();
   statistics ();
   bechamel_compile_times ();
   write_results "BENCH_results.json";
