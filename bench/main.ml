@@ -402,7 +402,7 @@ let ablations () =
     ~schemes:[ one; two ]
     ~run:(fun s _ -> simulate ~cores:4 s params)
 
-(* automatic scheduling-based compilation (lib/baselines/feautrier.ml): the
+(* automatic scheduling-based compilation (Driver.compile_feautrier): the
    schedule dimensions are found automatically and then run through the SAME
    tiling/wavefront pipeline as Pluto — with time tiling granted to it, the
    gap to Pluto narrows to schedule quality (stride-2 wavefronts, mod
@@ -422,7 +422,7 @@ let ablation_auto_scheduler () =
         sim.Machine.gflops
       in
       Printf.printf "%-16s %16.3f %16.3f\n%!" k.Kernels.name
-        (g "sched-auto" (Feautrier.compile p))
+        (g "sched-auto" (Driver.compile_feautrier p))
         (g "pluto" (Driver.compile p)))
     [ Kernels.jacobi_1d; Kernels.lu; Kernels.seidel ]
 

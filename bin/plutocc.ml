@@ -151,12 +151,8 @@ let run_batch_daemon fd ~files ~output ~options ~strict ~verify
 
 let run files output show_deps show_transform options check params_spec
     simulate cores native strict verify break_schedule tune tune_report jobs
-    tune_budget stats stats_json cold_solver batch batch_manifest batch_timeout
+    tune_budget stats stats_json batch batch_manifest batch_timeout
     cache_dir cache_size connect =
-  if cold_solver then begin
-    Milp.set_warm false;
-    Polyhedra.set_empty_cache false
-  end;
   Store.set_dir cache_dir;
   if cache_size <> None then Store.set_budget cache_size;
   let code =
@@ -198,7 +194,7 @@ let run files output show_deps show_transform options check params_spec
       connect <> None
       && not
            (tune || check || simulate || native || show_deps || show_transform
-          || break_schedule || cold_solver)
+          || break_schedule)
     in
     let daemon_code =
       if not daemon_eligible then None
@@ -678,13 +674,6 @@ let break_schedule_arg =
     value & flag
     & info [ "break-schedule" ] ~doc:"" ~docs:Cmdliner.Manpage.s_none)
 
-(* Deliberately undocumented: disable solver warm starts and emptiness
-   caching, the reference configuration for A/B-ing the incremental solver
-   (CI's solver-smoke job and the bench solver section use it). *)
-let cold_solver_arg =
-  Arg.(
-    value & flag & info [ "cold-solver" ] ~doc:"" ~docs:Cmdliner.Manpage.s_none)
-
 (* The compile-option flags: one per [cli] entry of
    {!Driver.option_fields}, each folded over the default options. *)
 let options_term =
@@ -721,7 +710,7 @@ let cmd =
       $ options_term $ check_arg $ params_arg $ simulate_arg $ cores_arg
       $ native_arg $ strict_arg $ verify_arg $ break_schedule_arg $ tune_arg
       $ tune_report_arg $ jobs_arg $ tune_budget_arg $ stats_arg
-      $ stats_json_arg $ cold_solver_arg $ batch_arg $ batch_manifest_arg
+      $ stats_json_arg $ batch_arg $ batch_manifest_arg
       $ batch_timeout_arg $ cache_dir_arg $ cache_size_arg $ connect_arg)
 
 let () = exit (Cmd.eval' cmd)

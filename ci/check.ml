@@ -4,9 +4,10 @@
    `dune runtest` runs every check.
 
    Each check is a function over its section of ci/ceilings.json.  The
-   in-process checks (solver, fastpath, reduction, batch, tune) call the
-   library the way plutocc would, starting every compile from the state a
-   fresh process has, so their counters are the numbers plutocc reports.
+   in-process checks (solver, fastpath, reduction, schedules, batch, tune)
+   call the library the way plutocc would, starting every compile from the
+   state a fresh process has, so their counters are the numbers plutocc
+   reports.
    The daemon checks (server, load) launch the built plutod, plutocc and
    bench/loadgen, because those programs are what they prove. *)
 
@@ -96,14 +97,18 @@ let counters_of_json j =
 
 (* -------------------------- in-process compiles --------------------------- *)
 
-(* One compile as a fresh plutocc process does it: empty in-memory solver
-   caches, no store, counters from zero.  A compile plutocc would not exit 0
-   on (no code, or code only after degradation) is a FAIL. *)
-let compile ?(options = Driver.default_options) check ~name src =
+(* The state a fresh plutocc process compiles from: empty in-memory solver
+   caches, no store, counters from zero. *)
+let fresh_process () =
   Milp.clear_caches ();
   Polyhedra.clear_caches ();
   Store.set_dir None;
-  Stats.reset ();
+  Stats.reset ()
+
+(* One compile as a fresh plutocc process does it.  A compile plutocc would
+   not exit 0 on (no code, or code only after degradation) is a FAIL. *)
+let compile ?(options = Driver.default_options) check ~name src =
+  fresh_process ();
   match Driver.compile_source_robust ~options ~name src with
   | Ok (r, warns) when not (Driver.degraded warns) -> Some r
   | Ok (_, ds) | Error ds ->
@@ -213,6 +218,61 @@ let reduction env s =
                 (String.concat ", " got) (String.concat ", " want))
       | _ -> ())
     [ "dot"; "histogram"; "mvt"; "lu"; "jacobi-1d" ]
+
+(* ----------------------------- schedules check ---------------------------- *)
+
+(* What pins a compile's schedule: the rung that produced it, a digest of
+   its transform (the printed rows and level kinds, plus the level that
+   satisfies each dependence) and a digest of its loop AST.  The AST is
+   digested rather than the C text, so a change to the C printer alone does
+   not move a pin. *)
+let schedule_pins (r : Driver.result) warns =
+  let t = r.Driver.transform in
+  let satisfied =
+    List.sort compare (Hashtbl.fold (fun d l acc -> (d, l) :: acc) t.Pluto.Types.satisfied_at [])
+  in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  [ ("rung", Batch.rung_of warns);
+    ( "transform",
+      md5
+        (Format.asprintf "%a" Pluto.Auto.pp_transform t
+        ^ String.concat ";" (List.map (fun (d, l) -> Printf.sprintf "%d@%d" d l) satisfied)) );
+    ("ast", md5 (Marshal.to_string r.Driver.code.Codegen.body [ Marshal.No_sharing ])) ]
+
+(* Every kernel with the default options, every example with
+   --no-fast-schedule: each must get exactly the pinned schedule, so a
+   refactoring of the schedulers that moves one shows up here by name. *)
+let schedules env s =
+  let pinned key options ~name src =
+    fresh_process ();
+    let want =
+      get s key "an object of strings" (function
+        | Json.Obj fields ->
+            Some (List.filter_map (fun (k, v) -> Option.map (fun v -> (k, v)) (Json.str v)) fields)
+        | _ -> None)
+    in
+    match (want, Driver.compile_source_robust ~options ~name src) with
+    | None, _ -> ()
+    | Some _, Error ds ->
+        report s.check false "%s produced no code:\n%s" key
+          (Format.asprintf "%a" (Diag.pp_all ~src) ds)
+    | Some want, Ok (r, warns) ->
+        List.iter
+          (fun (what, got) ->
+            let expected = Option.value ~default:"(none)" (List.assoc_opt what want) in
+            report s.check (got = expected) "%s: %s = %s (expected %s)" key what got expected)
+          (schedule_pins r warns)
+  in
+  List.iter
+    (fun (k : Kernels.t) ->
+      pinned (k.Kernels.name ^ " default") Driver.default_options ~name:k.Kernels.name
+        k.Kernels.source)
+    Kernels.all;
+  let ilp = { Driver.default_options with Driver.fast_schedule = false } in
+  List.iter
+    (fun file ->
+      pinned (Filename.basename file ^ " --no-fast-schedule") ilp ~name:file (read_file file))
+    (example_files env)
 
 (* ------------------------------ batch check ------------------------------- *)
 
@@ -480,8 +540,8 @@ let load env s =
 (* --------------------------------- main ----------------------------------- *)
 
 let checks =
-  [ ("solver", solver); ("fastpath", fastpath); ("reduction", reduction); ("batch", batch);
-    ("server", server); ("load", load); ("tune", tune) ]
+  [ ("solver", solver); ("fastpath", fastpath); ("reduction", reduction);
+    ("schedules", schedules); ("batch", batch); ("server", server); ("load", load); ("tune", tune) ]
 
 let main ceilings examples plutocc plutod loadgen names =
   let env = { examples; plutocc; plutod; loadgen } in
@@ -538,7 +598,7 @@ let cmd =
       $ exe "plutod" "_build/default/bin/plutod.exe"
       $ exe "loadgen" "_build/default/bench/loadgen.exe"
       $ Arg.(value & pos_all string [] & info [] ~docv:"NAME"
-               ~doc:"Checks to run: solver, fastpath, reduction, batch, server, load or tune \
-                     (default: all)."))
+               ~doc:"Checks to run: solver, fastpath, reduction, schedules, batch, server, load \
+                     or tune (default: all)."))
 
 let () = exit (Cmdliner.Cmd.eval' cmd)

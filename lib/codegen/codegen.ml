@@ -565,12 +565,15 @@ let rec pp_ast t names fmt node =
   match node with
   | For { level; parallel; lb; ub; body } ->
       let v = names.(level) in
+      let single = match (lb, ub) with Affine a, Affine b -> a = b | _ -> false in
       if t.target.Pluto.Types.tvec.(level) then
         (* vectorization forced by the transformation framework (§5.4) *)
         Format.fprintf fmt "@,#pragma ivdep";
       if t.unroll.(level) > 1 then
         Format.fprintf fmt "@,#pragma unroll(%d)" t.unroll.(level);
-      if parallel then begin
+      (* a one-iteration loop prints as a block, which an OpenMP pragma may
+         not precede (and one iteration has nothing to share) *)
+      if parallel && not single then begin
         let privates =
           List.init (t.nlevels - level - 1) (fun j -> names.(level + 1 + j))
         in
@@ -589,21 +592,22 @@ let rec pp_ast t names fmt node =
           | _ -> Printf.sprintf " private(%s)" (String.concat "," privates))
           (String.concat "" reds)
       end;
-      (match (lb, ub) with
-      | Affine a, Affine b when a = b ->
-          Format.fprintf fmt "@,@[<v 2>{ /* %s = constant */@,%s = %a;%a@]@,}" v v
-            (pp_iexpr names) lb (pp_body t names) body
-      | _ ->
-          Format.fprintf fmt "@,@[<v 2>for (%s = %a; %s <= %a; %s++) {%a@]@,}" v
-            (pp_iexpr names) lb v (pp_iexpr names) ub v (pp_body t names) body)
+      if single then
+        Format.fprintf fmt "@,@[<v 2>{ /* %s = constant */@,%s = %a;%a@]@,}" v v
+          (pp_iexpr names) lb (pp_body t names) body
+      else
+        Format.fprintf fmt "@,@[<v 2>for (%s = %a; %s <= %a; %s++) {%a@]@,}" v
+          (pp_iexpr names) lb v (pp_iexpr names) ub v (pp_body t names) body
   | Leaf { stmt_idx; guards; args } ->
       let ts = List.nth t.target.tstmts stmt_idx in
       let m = Ir.depth ts.stmt in
       let ext_n = Array.length ts.ext_iters in
       let orig_args = Array.sub args (ext_n - m) m in
+      (* the statement macros paste their arguments into subscripts such as
+         [A[-x + N - 1]], so every argument is parenthesized *)
       let pp_arg fmt (row, d) =
-        if d = 1 then Ir.pp_affine_row names fmt row
-        else Format.fprintf fmt "(%a)/%d" (Ir.pp_affine_row names) row d
+        if d = 1 then Format.fprintf fmt "(%a)" (Ir.pp_affine_row names) row
+        else Format.fprintf fmt "((%a)/%d)" (Ir.pp_affine_row names) row d
       in
       let pp_call fmt () =
         Format.fprintf fmt "%s(%a);" ts.stmt.Ir.name

@@ -47,33 +47,35 @@ let default_config =
     budget = Milp.default_budget;
   }
 
-(* ------------------------- per-dependence caches ------------------------- *)
+(* ------------------------- per-dependence state -------------------------- *)
 
+(* What the level loop knows of each dependence. *)
 type dep_state = {
   dep : Deps.t;
-  legality : Polyhedra.t option;  (* Farkas-eliminated, over the ILP vars *)
-  bounding : Polyhedra.t;  (* v(p) - δ >= 0 (and + for input deps) *)
   mutable satisfied : int option;  (* level *)
   mutable dismissed : bool;  (* dropped when a previous band completed *)
 }
 
-(* ILP variable layout: the legality bound (u, w) at columns 0..np, a second
-   bound (u', w') for input-dependence distances at columns np+1..2np+1 (a
-   locality tie-breaker minimized after (u, w); see DESIGN.md), then per
-   statement the iterator coefficients and the constant. *)
+(* ILP variable layout: [blocks] bound blocks first, block b holding u at
+   columns b(np+1) .. b(np+1)+np-1 and w at b(np+1)+np, then per statement
+   the iterator coefficients and the constant.  The Pluto search uses two
+   blocks: the legality bound (u, w) and a second bound (u', w') for
+   input-dependence distances (a locality tie-breaker minimized after
+   (u, w); see DESIGN.md).  A schedule search ({!Feautrier}) uses one. *)
 type layout = {
   nilp : int;
-  np : int;  (* u at 0..np-1, w at np; u' at np+1..2np, w' at 2np+1 *)
+  np : int;
+  blocks : int;
   stmt_off : int array;  (* per statement id: first iterator coefficient *)
   stmt_depth : int array;
 }
 
-let make_layout (p : Ir.program) =
+let make_layout ?(blocks = 2) (p : Ir.program) =
   let np = Ir.nparams p in
   let n = List.length p.Ir.stmts in
   let stmt_off = Array.make n 0 in
   let stmt_depth = Array.make n 0 in
-  let off = ref (2 * (np + 1)) in
+  let off = ref (blocks * (np + 1)) in
   List.iter
     (fun s ->
       let id = s.Ir.id in
@@ -81,7 +83,7 @@ let make_layout (p : Ir.program) =
       stmt_depth.(id) <- Ir.depth s;
       off := !off + Ir.depth s + 1)
     p.Ir.stmts;
-  { nilp = !off; np; stmt_off; stmt_depth }
+  { nilp = !off; np; blocks; stmt_off; stmt_depth }
 
 (* The symbolic affine form δ(s,t) = φ_dst(t) - φ_src(s) over a dependence's
    variables; coefficients are rows over the ILP variables. *)
@@ -122,7 +124,11 @@ let bound_form lay (d : Deps.t) ~sign ~which : Farkas.symbolic_form =
   form.(width - 1).(base + np) <- form.(width - 1).(base + np) + 1;
   form
 
-let dep_state lay (d : Deps.t) =
+(* A dependence's Farkas systems over the ILP variables: the legality
+   constraints (2) of a hard dependence and the bounding constraints (4). *)
+type dep_systems = { legality : Polyhedra.t option; bounding : Polyhedra.t }
+
+let dep_systems lay (d : Deps.t) =
   (* Marked reduction edges are dropped from the legality system — the order
      in which an associative/commutative update's instances combine is
      immaterial up to floating-point reassociation — but stay in the bounding
@@ -153,7 +159,7 @@ let dep_state lay (d : Deps.t) =
         (Polyhedra.meet (bound `Primary (-1)) (bound `Primary 1))
         (Polyhedra.meet (bound `Secondary (-1)) (bound `Secondary 1))
   in
-  { dep = d; legality; bounding; satisfied = None; dismissed = false }
+  { legality; bounding }
 
 (* --------------------- concrete satisfaction checks ---------------------- *)
 
@@ -183,17 +189,13 @@ let nonempty_int ~np ~ctx poly =
     else Option.is_some (Milp.feasible_cached sys)
   with Diag.Budget_exceeded _ -> true
 
-(* δ >= 1 everywhere on the dependence polyhedron (with params = ctx)? *)
-let delta_always_ge1 ~np ~ctx (d : Deps.t) (delta : Vec.t) =
-  let nv = d.Deps.poly.Polyhedra.nvars in
-  let le0 = Vec.neg delta in
+(* δ >= 1 everywhere on the dependence polyhedron? *)
+let delta_always_ge1 ~nonempty (d : Deps.t) (delta : Vec.t) =
   (* δ <= 0  ==  -δ >= 0 *)
-  let bad = Polyhedra.add d.Deps.poly (Polyhedra.ge le0) in
-  ignore nv;
-  not (nonempty_int ~np ~ctx bad)
+  not (nonempty (Polyhedra.add d.Deps.poly (Polyhedra.ge (Vec.neg delta))))
 
 (* Does δ take a non-zero value anywhere on the polyhedron? *)
-let delta_has_component ~np ~ctx (d : Deps.t) (delta : Vec.t) =
+let delta_has_component ~nonempty (d : Deps.t) (delta : Vec.t) =
   let width = Array.length delta in
   let plus =
     (* δ >= 1 *)
@@ -207,12 +209,14 @@ let delta_has_component ~np ~ctx (d : Deps.t) (delta : Vec.t) =
     r.(width - 1) <- Bigint.sub r.(width - 1) Bigint.one;
     Polyhedra.add d.Deps.poly (Polyhedra.ge r)
   in
-  nonempty_int ~np ~ctx plus || nonempty_int ~np ~ctx minus
+  nonempty plus || nonempty minus
 
 (* ------------------------------ main search ------------------------------ *)
 
 exception No_transform of string
 
+(* Upper bounds on every ILP variable: u and w of each bound block, then
+   each statement's iterator coefficients and constant. *)
 let bounds_constraints cfg lay =
   let n = lay.nilp in
   let ub j b =
@@ -221,11 +225,12 @@ let bounds_constraints cfg lay =
     r.(n) <- Bigint.of_int b;
     Polyhedra.ge r
   in
+  let per_block j b = List.init lay.blocks (fun k -> ub ((k * (lay.np + 1)) + j) b) in
   let cs = ref [] in
   for j = 0 to lay.np - 1 do
-    cs := ub j cfg.u_bound :: ub (lay.np + 1 + j) cfg.u_bound :: !cs
+    cs := per_block j cfg.u_bound @ !cs
   done;
-  cs := ub lay.np cfg.w_bound :: ub ((2 * lay.np) + 1) cfg.w_bound :: !cs;
+  cs := per_block lay.np cfg.w_bound @ !cs;
   Array.iteri
     (fun id off ->
       for j = 0 to lay.stmt_depth.(id) - 1 do
@@ -280,8 +285,9 @@ let independence_constraints lay (hmats : int array list array) =
   Polyhedra.of_constrs n !cs
 
 let lexmin_priority lay =
-  (* u, w first; then per statement the iterator coefficients innermost-first
-     (preferring hyperplanes over outer iterators), constant last *)
+  (* the bound blocks first; then per statement the iterator coefficients
+     innermost-first (preferring hyperplanes over outer iterators), constant
+     last *)
   let order = ref [] in
   Array.iteri
     (fun id off ->
@@ -289,7 +295,7 @@ let lexmin_priority lay =
       let stmt_order = List.rev (List.init m (fun j -> off + j)) @ [ off + m ] in
       order := !order @ stmt_order)
     lay.stmt_off;
-  List.init (2 * (lay.np + 1)) (fun j -> j) @ !order
+  List.init (lay.blocks * (lay.np + 1)) (fun j -> j) @ !order
 
 (* Extract per-statement rows (iterator coefficients + constant) from an ILP
    solution. *)
@@ -300,23 +306,23 @@ let rows_of_solution lay (x : Bigint.t array) =
       Array.init (m + 1) (fun j -> Bigint.to_int x.(off + j)))
     lay.stmt_off
 
-let find_hyperplane cfg lay (states : dep_state list) hmats =
+let find_hyperplane cfg lay systems (states : dep_state list) hmats =
   let base = bounds_constraints cfg lay in
   let sys =
-    List.fold_left
-      (fun sys st ->
+    List.fold_left2
+      (fun sys ds st ->
         if st.dismissed then sys
         else begin
           let sys =
-            match st.legality with
+            match ds.legality with
             | Some l -> Polyhedra.meet sys l
             | None -> sys
           in
           if cfg.use_cost_bound && st.satisfied = None then
-            Polyhedra.meet sys st.bounding
+            Polyhedra.meet sys ds.bounding
           else sys
         end)
-      base states
+      base systems states
   in
   let sys = Polyhedra.meet sys (independence_constraints lay hmats) in
   (* the per-dependence systems overlap heavily; dedup before the ILP *)
@@ -329,39 +335,26 @@ let find_hyperplane cfg lay (states : dep_state list) hmats =
   | None -> None
   | Some x -> Some (rows_of_solution lay x)
 
-(* Number of linearly independent rows found so far for statement [id]. *)
-let stmt_rank lay hmats id =
-  let m = lay.stmt_depth.(id) in
-  if m = 0 then 0
-  else
-    let rows = hmats.(id) in
-    if rows = [] then 0
-    else
-      Mat.rank
-        (Mat.of_int_rows (Array.of_list (List.map (fun r -> Array.sub r 0 m) rows)))
+(* ---------------------------- the level loop ----------------------------- *)
 
-let transform ?(config = default_config) (p : Ir.program) (deps : Deps.t list) =
-  let deps =
-    if config.input_deps then deps
-    else List.filter Deps.is_legality deps
-  in
-  let lay = make_layout p in
+type stuck = No_row of { level : int; live : int } | Cyclic_residual
+
+let search (p : Ir.program) (deps : Deps.t list) ~find_rows ~nonempty =
   let nstmts = List.length p.Ir.stmts in
   List.iteri
     (fun i s ->
-      if s.Ir.id <> i then invalid_arg "Auto.transform: statement ids not sequential")
+      if s.Ir.id <> i then invalid_arg "Auto.search: statement ids not sequential")
     p.Ir.stmts;
-  let states = List.map (dep_state lay) deps in
+  let depth = Array.of_list (List.map Ir.depth p.Ir.stmts) in
+  let states = List.map (fun d -> { dep = d; satisfied = None; dismissed = false }) deps in
   let hmats : int array list array = Array.make nstmts [] in
+  let rank = Array.make nstmts 0 in  (* of each statement's [hmats] *)
   let all_rows : int array array list ref = ref [] in
   let kinds = ref [] in
   let satisfied_at = Hashtbl.create 16 in
   let band = ref 0 in
   let level = ref 0 in
-  let np = lay.np and ctx = config.ctx in
-  let full_rank () =
-    List.for_all (fun s -> stmt_rank lay hmats s.Ir.id >= Ir.depth s) p.Ir.stmts
-  in
+  let full_rank () = Array.for_all2 ( >= ) rank depth in
   let live_legality () =
     List.filter
       (fun st -> Deps.is_hard st.dep && st.satisfied = None)
@@ -376,7 +369,7 @@ let transform ?(config = default_config) (p : Ir.program) (deps : Deps.t list) =
           let row_s = rows.(d.Deps.src.Ir.id) in
           let row_t = rows.(d.Deps.dst.Ir.id) in
           let delta = Deps.satisfaction_row p d row_s row_t in
-          if delta_always_ge1 ~np ~ctx d delta then begin
+          if delta_always_ge1 ~nonempty d delta then begin
             st.satisfied <- Some !level;
             Hashtbl.replace satisfied_at d.Deps.id !level
           end
@@ -396,13 +389,13 @@ let transform ?(config = default_config) (p : Ir.program) (deps : Deps.t list) =
         let delta =
           Deps.satisfaction_row p d rows.(d.Deps.src.Ir.id) rows.(d.Deps.dst.Ir.id)
         in
-        not (delta_has_component ~np ~ctx d delta))
+        not (delta_has_component ~nonempty d delta))
       states
   in
   let add_scalar_cut comp =
     let rows =
       Array.init nstmts (fun id ->
-          let m = lay.stmt_depth.(id) in
+          let m = depth.(id) in
           Array.init (m + 1) (fun j -> if j = m then comp.(id) else 0))
     in
     all_rows := rows :: !all_rows;
@@ -442,37 +435,28 @@ let transform ?(config = default_config) (p : Ir.program) (deps : Deps.t list) =
       Polyhedra.meet d.Deps.poly
         (Polyhedra.of_constrs d.Deps.poly.Polyhedra.nvars zero_eqs)
     in
-    nonempty_int ~np ~ctx sys
+    nonempty sys
   in
-  let stuck_reason = ref "" in
-  let budget_note = ref None in
-  (* Budget exhaustion in the per-level ILP is "no hyperplane found at this
-     level": the search falls through to its cut/dismiss machinery and, if
-     that cannot make progress either, reports [No_transform] — which the
-     driver's degradation ladder turns into a warning, not a crash.  An
-     expired deadline is not a budget: it unwinds the whole search. *)
-  let find_hyperplane_bounded () =
-    Deadline.check ();
-    try find_hyperplane config lay states hmats
-    with Diag.Budget_exceeded msg ->
-      budget_note := Some msg;
-      None
-  in
-  let progress = ref true in
+  let stuck = ref None in
   while
-    !progress
+    !stuck = None
     && ((not (full_rank ())) || live_legality () <> [])
-    && !level < 2 * (Putil.list_max (List.map (fun s -> Ir.depth s) p.Ir.stmts) + nstmts + 2)
+    && !level < 2 * (Array.fold_left max 0 depth + nstmts + 2)
   do
-    match find_hyperplane_bounded () with
+    match find_rows states hmats with
     | Some rows when Array.exists (fun (r : int array) ->
           Array.exists (fun c -> c <> 0) r) rows ->
         (* accept; a statement at full rank may legitimately get a zero row *)
         all_rows := rows :: !all_rows;
         Array.iteri
           (fun id r ->
-            if stmt_rank lay hmats id < lay.stmt_depth.(id) then
-              hmats.(id) <- hmats.(id) @ [ r ])
+            if rank.(id) < depth.(id) then begin
+              hmats.(id) <- hmats.(id) @ [ r ];
+              rank.(id) <-
+                Mat.rank
+                  (Mat.of_int_rows
+                     (Array.of_list (List.map (fun r -> Array.sub r 0 depth.(id)) hmats.(id))))
+            end)
           rows;
         mark_satisfaction rows;
         let parallel = level_parallel rows in
@@ -527,46 +511,70 @@ let transform ?(config = default_config) (p : Ir.program) (deps : Deps.t list) =
               states
           end;
           if !dismissed_any then incr band
-          else begin
-            progress := false;
-            stuck_reason :=
-              Printf.sprintf
-                "no hyperplane, no useful cut, nothing to dismiss (level %d, %d live deps)%s"
-                !level (List.length live)
-                (match !budget_note with
-                | Some b -> "; solver budget exhausted: " ^ b
-                | None -> "")
-          end
+          else stuck := Some (No_row { level = !level; live = List.length live })
         end)
   done;
-  if (not (full_rank ())) && !progress = false then
-    raise (No_transform !stuck_reason);
-  (* Live dependences at this point have δ >= 0 at every level (they were
-     never dismissed).  Pairs with a strictly positive component at some
-     level are correctly ordered; only pairs with δ = 0 at ALL levels still
-     need ordering — by a trailing scalar dimension reflecting a topological
-     order of the statements they relate. *)
-  let residual = List.filter weakly_unordered (live_legality ()) in
-  if residual <> [] then begin
-    let edges =
-      List.map
-        (fun st -> (st.dep.Deps.src.Ir.id, st.dep.Deps.dst.Ir.id))
-        residual
-    in
-    let comp, ncomp = Ddg.sccs ~nstmts edges in
-    if ncomp > 1 then add_scalar_cut comp
-    else if nstmts > 1 then
-      raise (No_transform "cyclic unsatisfied dependences at full rank")
-  end;
-  let kinds = Array.of_list (List.rev !kinds) in
-  let levels = List.rev !all_rows in
-  let nlevels = List.length levels in
-  let rows =
-    Array.init nstmts (fun id ->
-        Array.of_list (List.map (fun lv -> lv.(id)) levels))
+  match !stuck with
+  | Some reason when not (full_rank ()) -> Error reason
+  | _ -> (
+      (* Live dependences at this point have δ >= 0 at every level (they
+         were never dismissed).  Pairs with a strictly positive component at
+         some level are correctly ordered; only pairs with δ = 0 at ALL
+         levels still need ordering — by a trailing scalar dimension
+         reflecting a topological order of the statements they relate. *)
+      let residual = List.filter weakly_unordered (live_legality ()) in
+      let comp, ncomp =
+        Ddg.sccs ~nstmts
+          (List.map (fun st -> (st.dep.Deps.src.Ir.id, st.dep.Deps.dst.Ir.id)) residual)
+      in
+      if residual <> [] && ncomp = 1 && nstmts > 1 then Error Cyclic_residual
+      else begin
+        if residual <> [] && ncomp > 1 then add_scalar_cut comp;
+        let levels = List.rev !all_rows in
+        Ok
+          {
+            program = p;
+            deps;
+            nlevels = List.length levels;
+            kinds = Array.of_list (List.rev !kinds);
+            rows =
+              Array.init nstmts (fun id -> Array.of_list (List.map (fun lv -> lv.(id)) levels));
+            satisfied_at;
+          }
+      end)
+
+let transform ?(config = default_config) (p : Ir.program) (deps : Deps.t list) =
+  let deps =
+    if config.input_deps then deps
+    else List.filter Deps.is_legality deps
   in
-  ignore !band;
-  { program = p; deps; nlevels; kinds; rows; satisfied_at }
+  let lay = make_layout p in
+  let systems = List.map (dep_systems lay) deps in
+  (* Budget exhaustion in the per-level ILP is "no hyperplane found at this
+     level": the search falls through to its cut/dismiss machinery and, if
+     that cannot make progress either, reports [No_transform] — which the
+     driver's degradation ladder turns into a warning, not a crash.  An
+     expired deadline is not a budget: it unwinds the whole search. *)
+  let budget_note = ref None in
+  let find_rows states hmats =
+    Deadline.check ();
+    try find_hyperplane config lay systems states hmats
+    with Diag.Budget_exceeded msg ->
+      budget_note := Some msg;
+      None
+  in
+  match search p deps ~find_rows ~nonempty:(nonempty_int ~np:lay.np ~ctx:config.ctx) with
+  | Ok t -> t
+  | Error (No_row { level; live }) ->
+      raise
+        (No_transform
+           (Printf.sprintf
+              "no hyperplane, no useful cut, nothing to dismiss (level %d, %d live deps)%s"
+              level live
+              (match !budget_note with
+              | Some b -> "; solver budget exhausted: " ^ b
+              | None -> "")))
+  | Error Cyclic_residual -> raise (No_transform "cyclic unsatisfied dependences at full rank")
 
 (* ------------------------------- printing ------------------------------- *)
 
@@ -577,10 +585,6 @@ let pp_transform fmt (t : transform) =
     t.kinds;
   List.iter
     (fun s ->
-      let names =
-        Array.of_list (s.Ir.iters @ [ "1" ])
-      in
-      ignore names;
       Format.fprintf fmt "  %s:@," s.Ir.name;
       Array.iteri
         (fun l row ->
@@ -603,7 +607,7 @@ let pp_transform fmt (t : transform) =
 let annotate ?(config = default_config) (p : Ir.program) (deps : Deps.t list)
     ~(rows : int array array array) ~(scalar : bool array) : transform =
   let nlevels = Array.length scalar in
-  let np = Ir.nparams p and ctx = config.ctx in
+  let nonempty = nonempty_int ~np:(Ir.nparams p) ~ctx:config.ctx in
   let legality = List.filter Deps.is_hard deps in
   let satisfied_at = Hashtbl.create 16 in
   let live = Hashtbl.create 16 in
@@ -638,7 +642,7 @@ let annotate ?(config = default_config) (p : Ir.program) (deps : Deps.t list)
               rows.(d.Deps.src.Ir.id).(l)
               rows.(d.Deps.dst.Ir.id).(l)
           in
-          if delta_always_ge1 ~np ~ctx d delta then newly := (id, d) :: !newly)
+          if delta_always_ge1 ~nonempty d delta then newly := (id, d) :: !newly)
         live;
       List.iter
         (fun (id, _) ->
@@ -658,7 +662,7 @@ let annotate ?(config = default_config) (p : Ir.program) (deps : Deps.t list)
                    rows.(d.Deps.src.Ir.id).(l)
                    rows.(d.Deps.dst.Ir.id).(l)
                in
-               not (delta_has_component ~np ~ctx d delta))
+               not (delta_has_component ~nonempty d delta))
              live true
       in
       kinds.(l) <- Loop { band = !band; parallel }
@@ -699,12 +703,3 @@ let identity_transform ?config (p : Ir.program) (deps : Deps.t list) : transform
          p.Ir.stmts)
   in
   annotate ?config p deps ~rows ~scalar
-
-(** Internal entry points exposed for profiling/tests. *)
-module For_tests = struct
-  type nonrec dep_state = dep_state
-
-  let dep_states p ds =
-    let lay = make_layout p in
-    List.map (dep_state lay) ds
-end

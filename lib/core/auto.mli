@@ -52,6 +52,89 @@ type config = {
 
 val default_config : config
 
+(** {1 The level loop}
+
+    One loop builds every searched schedule, Pluto's and the fast path's
+    ({!Fastmatch}) alike: per level it asks a row finder for one row per
+    statement, records which dependences the rows satisfy and whether the
+    level is parallel, and when the finder has no row it cuts the DDG of
+    unsatisfied dependences between SCCs, or else dismisses satisfied
+    dependences and starts a new permutable band.  Every emptiness test it
+    makes goes to the caller's oracle. *)
+
+(** A dependence as the loop sees it.  Only hard dependences
+    ({!Deps.is_hard}) are ever satisfied or dismissed. *)
+type dep_state = private {
+  dep : Deps.t;
+  mutable satisfied : int option;
+      (** the level that satisfies it (strongly, or weakly by the whole
+          prefix when it was dismissed by the fallback) *)
+  mutable dismissed : bool;  (** dropped when a previous band completed *)
+}
+
+(** Why the loop stopped short of full rank. *)
+type stuck =
+  | No_row of { level : int; live : int }
+      (** no row, no useful cut, nothing to dismiss at [level], with [live]
+          hard dependences unsatisfied *)
+  | Cyclic_residual
+      (** at full rank, dependences tied at every level form a cycle *)
+
+(** [search p deps ~find_rows ~nonempty] runs the loop.  [find_rows states
+    hmats] returns the next level's row per statement (width depth+1), or
+    [None]; [states] are [deps] in order, [hmats.(id)] the rows found so far
+    that raised statement [id]'s rank.  An all-zero answer counts as
+    [None].  [nonempty sys] answers whether [sys] has an integer point; a
+    "yes" is always the conservative answer.
+    @raise Invalid_argument when statement ids are not [0 .. n-1] in order. *)
+val search :
+  Ir.program ->
+  Deps.t list ->
+  find_rows:(dep_state list -> int array list array -> int array array option) ->
+  nonempty:(Polyhedra.t -> bool) ->
+  (Types.transform, stuck) result
+
+(** {1 The ILP layout}
+
+    The integer program's variables: [blocks] bound blocks (u, w) — u one
+    column per parameter — then each statement's iterator coefficients and
+    constant.  The Pluto search uses two blocks, a schedule search
+    ({!Feautrier}) one. *)
+
+type layout = private {
+  nilp : int;  (** number of ILP variables *)
+  np : int;  (** number of parameters *)
+  blocks : int;
+  stmt_off : int array;  (** per statement id: first iterator coefficient *)
+  stmt_depth : int array;
+}
+
+(** [make_layout ?blocks p] (default two blocks). *)
+val make_layout : ?blocks:int -> Ir.program -> layout
+
+(** [delta_form lay d] — δ(s,t) = φ_dst(t) − φ_src(s) as a symbolic form
+    over [d]'s variables, ready for {!Farkas.constraints}. *)
+val delta_form : layout -> Deps.t -> Farkas.symbolic_form
+
+(** Upper bounds on every ILP variable: [u_bound], [w_bound] on each bound
+    block, [coeff_bound] and [shift_bound] on each statement's row. *)
+val bounds_constraints : config -> layout -> Polyhedra.t
+
+(** Linear independence of the next row from the rows found so far
+    ([hmats.(id)], per statement), and Σ cᵢ >= 1 for statements with none
+    (eq. 6, §4.2).  Statements at full rank are left free. *)
+val independence_constraints : layout -> int array list array -> Polyhedra.t
+
+(** The lexmin order: the bound blocks, then per statement the iterator
+    coefficients innermost first, then the constant. *)
+val lexmin_priority : layout -> int list
+
+(** Per statement, the row (iterator coefficients and constant) an ILP
+    point assigns. *)
+val rows_of_solution : layout -> Bigint.t array -> int array array
+
+(** {1 The Pluto search} *)
+
 exception No_transform of string
 
 (** [transform ?config p deps] runs the search and returns the statement-wise
@@ -82,10 +165,3 @@ val identity_transform :
   ?config:config -> Ir.program -> Deps.t list -> Types.transform
 
 val pp_transform : Format.formatter -> Types.transform -> unit
-
-(** Internal entry points exposed for profiling and tests. *)
-module For_tests : sig
-  type dep_state
-
-  val dep_states : Ir.program -> Deps.t list -> dep_state list
-end

@@ -401,8 +401,19 @@ let compile ?(options = default_options) program =
   in
   compile_with_transform ~options program deps transform
 
-let compile_source ?options ?name src =
-  compile ?options (Frontend.parse_program ?name src)
+let compile_feautrier ?(options = default_options) program =
+  let deps =
+    Deps.compute ~input_deps:false ~reductions:options.reductions program
+  in
+  let config =
+    { Pluto.Feautrier.config with
+      Pluto.Auto.budget = options.auto.Pluto.Auto.budget;
+    }
+  in
+  let tr, fco = Pluto.Feautrier.scheduling_transform ~config program deps in
+  (* time tiling is legal only when the completion kept every row forward *)
+  let options = if fco then options else { options with tile = false } in
+  compile_with_transform ~options program deps tr
 
 let compile_original ?(options = default_options) program =
   let deps = Deps.compute ~reductions:options.reductions program in
@@ -431,7 +442,7 @@ let attempt ~what f =
       Error { d with Diag.message = what ^ ": " ^ d.Diag.message }
   | exception Pluto.Auto.No_transform msg ->
       Error (Diag.errorf ~code:"no-transform" "%s: no transformation found: %s" what msg)
-  | exception Feautrier_core.No_schedule msg ->
+  | exception Pluto.Feautrier.No_schedule msg ->
       Error (Diag.errorf ~code:"no-schedule" "%s: no schedule found: %s" what msg)
   | exception Stack_overflow ->
       Error (Diag.errorf ~code:"internal" "%s: stack overflow" what)
@@ -643,19 +654,7 @@ let compile_robust ?(options = default_options) ?(strict = false)
            validate_rung ~what (f ())))
   in
   let rung_auto () = compile ~options program in
-  let rung_feautrier () =
-    let deps =
-      Deps.compute ~input_deps:false ~reductions:options.reductions program
-    in
-    let fcfg =
-      { Feautrier_core.config with
-        Pluto.Auto.budget = options.auto.Pluto.Auto.budget;
-      }
-    in
-    let tr, fco = Feautrier_core.scheduling_transform ~config:fcfg program deps in
-    let options = if fco then options else { options with tile = false } in
-    compile_with_transform ~options program deps tr
-  in
+  let rung_feautrier () = compile_feautrier ~options program in
   let rung_identity () = compile_original ~options program in
   (* Top rung: the fast (fusion + dimension-matching) scheduler.  Its
      accepts are translation-validated before being trusted; every other

@@ -115,8 +115,13 @@ type result = {
     @raise Pluto.Auto.No_transform if the search fails. *)
 val compile : ?options:options -> Ir.program -> result
 
-(** [compile_source ?options ?name src] parses first. *)
-val compile_source : ?options:options -> ?name:string -> string -> result
+(** [compile_feautrier ?options program] — the scheduling-based scheme of
+    §7 end to end: the Feautrier schedule with Griebl's FCO completion
+    ({!Pluto.Feautrier}, under [options.auto]'s solver budget) over the
+    dependences without read-read edges, time-tiled only when the completion
+    satisfied the FCO condition.  The degradation ladder's middle rung.
+    @raise Pluto.Feautrier.No_schedule if no schedule is found. *)
+val compile_feautrier : ?options:options -> Ir.program -> result
 
 (** [compile_with_transform ?options program deps transform] skips the search
     and applies tiling/parallelization/codegen to an externally supplied
@@ -143,7 +148,7 @@ val compile_original : ?options:options -> Ir.program -> result
       ["fastpath-rejected"] warning — which is {e not} a degradation:
       {!degraded} stays false and the CLI still exits 0);
     + the Pluto automatic transformation ({!compile});
-    + the Feautrier + Griebl-FCO baseline schedule ({!Feautrier_core}), with
+    + the Feautrier + Griebl-FCO baseline schedule ({!compile_feautrier}), with
       the same solver budget;
     + the untiled identity schedule ({!compile_original}).
 

@@ -94,13 +94,13 @@ let test_check_shape_guard () =
        false
      with Invalid_argument _ -> true)
 
-(* ---- the automatic Feautrier + FCO scheduler (lib/baselines/feautrier) --- *)
+(* ------ the automatic Feautrier + FCO scheduler (Pluto.Feautrier) ------- *)
 
 let test_feautrier_jacobi_schedule () =
   (* the paper quotes Griebl's baseline for 1-d Jacobi: schedule 2t for S1,
      2t+1 for S2, FCO allocation 2t+i — the automatic scheduler finds it *)
   let p = Kernels.program Kernels.jacobi_1d in
-  let r = Feautrier.compile p in
+  let r = Driver.compile_feautrier p in
   let t = r.Driver.transform in
   Alcotest.(check (list (list int))) "S1 = (2t, 2t+i)"
     [ [ 2; 0; 0 ]; [ 2; 1; 0 ] ]
@@ -113,7 +113,7 @@ let test_feautrier_equivalence () =
   List.iter
     (fun k ->
       let p = Kernels.program k in
-      let r = Feautrier.compile p in
+      let r = Driver.compile_feautrier p in
       let params = Kernels.params_vector p k.Kernels.check_params in
       Alcotest.(check bool)
         (k.Kernels.name ^ " equivalent")
@@ -129,7 +129,7 @@ let test_feautrier_strong_satisfaction () =
   (* every legality dependence is strongly satisfied by some schedule level *)
   let p = Kernels.program Kernels.seidel in
   let deps = Deps.compute ~input_deps:false p in
-  let tr, fco = Feautrier.scheduling_transform p deps in
+  let tr, fco = Pluto.Feautrier.scheduling_transform p deps in
   Alcotest.(check bool) "FCO completion" true fco;
   List.iter
     (fun d ->

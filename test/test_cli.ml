@@ -154,8 +154,58 @@ let test_runner_result_fields () =
         Alcotest.(check int) "3 array checksums" 3 (List.length res.Runner.checksums)
   end
 
+(* The C text itself, natively, against the original order: a generated
+   program scheduled with the default options must build with -fopenmp and
+   produce the same checksums at N = 37. *)
+let native_generated src () =
+  if Runner.available () then begin
+    let p = Frontend.parse_program ~name:"gen.c" src in
+    match Driver.compile_robust p with
+    | Error _ -> Alcotest.fail "no code emitted"
+    | Ok (r, _) -> (
+        let orig = Driver.compile_original p in
+        match Runner.validate r.Driver.code orig.Driver.code ~params:[ ("N", 37) ] with
+        | Some ok -> Alcotest.(check bool) "native checksums agree" true ok
+        | None -> ())
+  end
+
+(* gen-ec88aa-3s (Gen, seed 20080613): a statement macro pastes its argument
+   into [A[N-1-x][x]], so an unparenthesized [c1 - 1] read the wrong cell. *)
+let macro_argument_source =
+  {|double A[N][N], B[N][N], u[N], v[N];
+for (i = 1; i < N - 1; i++) {
+  for (j = 1; j < N - 1; j++)
+    A[1][1] = u[i] + B[i][i-1];
+}
+for (p = 1; p < N - 1; p++)
+  B[p][p] = u[p] - B[p+1][p] * B[N-1-p][p];
+for (x = 1; x < N - 1; x++)
+  u[x] = B[x+1][x+1] - 0.5 * B[x][x] - A[N-1-x][x] * B[x-1][x];
+|}
+
+(* gen-fbafe9-4s: a parallel loop with one iteration printed as a block
+   under "#pragma omp parallel for", which gcc -fopenmp rejects. *)
+let one_iteration_pragma_source =
+  {|double A[N][N], B[N][N], u[N], v[N];
+for (i = 1; i < N - 1; i++) {
+  A[i][i] = B[i][1];
+  B[i-1][i] = v[i] + 0.25 * u[i];
+}
+for (p = 1; p < N - 1; p++) {
+  for (q = 1; q < N - 1; q++) {
+    A[q][p] = A[q][q] + 0.5 * u[p] - B[q][p];
+    for (r = 1; r < N - 1; r++)
+      A[1][q-1] = v[r];
+  }
+}
+|}
+
 let native_suite =
   [
+    Alcotest.test_case "native macro arguments parenthesized" `Quick
+      (native_generated macro_argument_source);
+    Alcotest.test_case "native no pragma over a one-iteration block" `Quick
+      (native_generated one_iteration_pragma_source);
     Alcotest.test_case "native validate jacobi" `Quick
       (native_validate Kernels.jacobi_1d [ ("T", 20); ("N", 300) ]);
     Alcotest.test_case "native validate lu" `Quick
