@@ -8,6 +8,8 @@
    call the library the way plutocc would, starting every compile from the
    state a fresh process has, so their counters are the numbers plutocc
    reports.
+   The native check also builds the generated C with the host's C compiler
+   and runs it.
    The daemon checks (server, load) launch the built plutod, plutocc and
    bench/loadgen, because those programs are what they prove. *)
 
@@ -226,13 +228,13 @@ let reduction env s =
    satisfies each dependence) and a digest of its loop AST.  The AST is
    digested rather than the C text, so a change to the C printer alone does
    not move a pin. *)
-let schedule_pins (r : Driver.result) warns =
+let schedule_pins ~rung (r : Driver.result) =
   let t = r.Driver.transform in
   let satisfied =
     List.sort compare (Hashtbl.fold (fun d l acc -> (d, l) :: acc) t.Pluto.Types.satisfied_at [])
   in
   let md5 s = Digest.to_hex (Digest.string s) in
-  [ ("rung", Batch.rung_of warns);
+  [ ("rung", rung);
     ( "transform",
       md5
         (Format.asprintf "%a" Pluto.Auto.pp_transform t
@@ -240,10 +242,13 @@ let schedule_pins (r : Driver.result) warns =
     ("ast", md5 (Marshal.to_string r.Driver.code.Codegen.body [ Marshal.No_sharing ])) ]
 
 (* Every kernel with the default options, every example with
-   --no-fast-schedule: each must get exactly the pinned schedule, so a
-   refactoring of the schedulers that moves one shows up here by name. *)
+   --no-fast-schedule, and every kernel through the two lower rungs called
+   directly (Driver.compile_feautrier, Driver.compile_original): each must
+   get exactly the pinned schedule, so a refactoring of the schedulers that
+   moves one shows up here by name.  A rung that raises is pinned by its
+   exception (compile_feautrier on four kernels: ROADMAP item 2). *)
 let schedules env s =
-  let pinned key options ~name src =
+  let pinned key run =
     fresh_process ();
     let want =
       get s key "an object of strings" (function
@@ -251,28 +256,77 @@ let schedules env s =
             Some (List.filter_map (fun (k, v) -> Option.map (fun v -> (k, v)) (Json.str v)) fields)
         | _ -> None)
     in
-    match (want, Driver.compile_source_robust ~options ~name src) with
-    | None, _ -> ()
-    | Some _, Error ds ->
-        report s.check false "%s produced no code:\n%s" key
-          (Format.asprintf "%a" (Diag.pp_all ~src) ds)
-    | Some want, Ok (r, warns) ->
+    Option.iter
+      (fun want ->
         List.iter
           (fun (what, got) ->
             let expected = Option.value ~default:"(none)" (List.assoc_opt what want) in
             report s.check (got = expected) "%s: %s = %s (expected %s)" key what got expected)
-          (schedule_pins r warns)
+          (run ()))
+      want
+  in
+  let robust key options ~name src =
+    pinned key (fun () ->
+        match Driver.compile_source_robust ~options ~name src with
+        | Ok (r, warns) -> schedule_pins ~rung:(Batch.rung_of warns) r
+        | Error ds -> [ ("error", Format.asprintf "%a" (Diag.pp_all ~src) ds) ])
+  in
+  let direct (k : Kernels.t) rung compile =
+    pinned (k.Kernels.name ^ " " ^ rung) (fun () ->
+        match compile (Frontend.parse_program ~name:k.Kernels.name k.Kernels.source) with
+        | r -> schedule_pins ~rung r
+        | exception e -> [ ("raises", Printexc.to_string e) ])
   in
   List.iter
     (fun (k : Kernels.t) ->
-      pinned (k.Kernels.name ^ " default") Driver.default_options ~name:k.Kernels.name
-        k.Kernels.source)
+      robust (k.Kernels.name ^ " default") Driver.default_options ~name:k.Kernels.name
+        k.Kernels.source;
+      direct k "feautrier" Driver.compile_feautrier;
+      direct k "identity" Driver.compile_original)
     Kernels.all;
   let ilp = { Driver.default_options with Driver.fast_schedule = false } in
   List.iter
     (fun file ->
-      pinned (Filename.basename file ^ " --no-fast-schedule") ilp ~name:file (read_file file))
+      robust (Filename.basename file ^ " --no-fast-schedule") ilp ~name:file (read_file file))
     (example_files env)
+
+(* ------------------------------ native check ------------------------------ *)
+
+(* The C that users compile, compiled: every kernel under each option
+   variant, built with -fopenmp and run on two threads, must print the
+   checksums of the kernel in original order at its check_params.  The
+   compile-and-run pairs go through the worker pool two at a time.  Skipped
+   when no C compiler is available. *)
+let native _env s =
+  if not (Runner.available ()) then report s.check true "skipped: no C compiler"
+  else begin
+    Unix.putenv "OMP_NUM_THREADS" "2";
+    let d = Driver.default_options in
+    let variants =
+      [ ("default", d);
+        ("--no-fast-schedule", { d with Driver.fast_schedule = false });
+        ("--reductions", { d with Driver.reductions = true }) ]
+    in
+    let inputs = List.concat_map (fun k -> List.map (fun v -> (k, v)) variants) Kernels.all in
+    let agrees ((k : Kernels.t), (_, options)) =
+      fresh_process ();
+      match Driver.compile_source_robust ~options ~name:k.Kernels.name k.Kernels.source with
+      | Ok (r, warns) when not (Driver.degraded warns) ->
+          let orig = Driver.compile_original r.Driver.program in
+          Runner.validate ~timeout_s:60.0 r.Driver.code orig.Driver.code
+            ~params:k.Kernels.check_params
+      | Ok _ | Error _ -> failwith "no code, or code only after degradation"
+    in
+    List.iter2
+      (fun ((k : Kernels.t), (tag, _)) (o : bool option Pool.outcome) ->
+        let name = k.Kernels.name ^ " " ^ tag in
+        match o.Pool.value with
+        | Ok (Some ok) -> report s.check ok "%s: native checksums equal the original order's" name
+        | Ok None -> report s.check false "%s: the C compiler went away" name
+        | Error d -> report s.check false "%s: %s" name (Format.asprintf "%a" Diag.pp d))
+      inputs
+      (Pool.map ~jobs:2 ~f:agrees inputs)
+  end
 
 (* ------------------------------ batch check ------------------------------- *)
 
@@ -541,7 +595,8 @@ let load env s =
 
 let checks =
   [ ("solver", solver); ("fastpath", fastpath); ("reduction", reduction);
-    ("schedules", schedules); ("batch", batch); ("server", server); ("load", load); ("tune", tune) ]
+    ("schedules", schedules); ("native", native); ("batch", batch); ("server", server);
+    ("load", load); ("tune", tune) ]
 
 let main ceilings examples plutocc plutod loadgen names =
   let env = { examples; plutocc; plutod; loadgen } in
@@ -598,7 +653,7 @@ let cmd =
       $ exe "plutod" "_build/default/bin/plutod.exe"
       $ exe "loadgen" "_build/default/bench/loadgen.exe"
       $ Arg.(value & pos_all string [] & info [] ~docv:"NAME"
-               ~doc:"Checks to run: solver, fastpath, reduction, schedules, batch, server, load \
-                     or tune (default: all)."))
+               ~doc:"Checks to run: solver, fastpath, reduction, schedules, native, batch, server, \
+                     load or tune (default: all)."))
 
 let () = exit (Cmdliner.Cmd.eval' cmd)

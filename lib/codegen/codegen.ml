@@ -127,7 +127,10 @@ let invert_scattering ~nlevels ~np (ts : tstmt) =
   in
   (args, mod_guards)
 
-let prepare ~context_min (tgt : target) =
+(* CLooG's context: the assumed lower bound on every structure parameter. *)
+let context_min = 1
+
+let prepare (tgt : target) =
   let nlevels = tgt.tnlevels in
   let np = List.length tgt.tprogram.Ir.params in
   List.filter_map
@@ -332,10 +335,10 @@ let separate_groups ~l (active : (stmt_info * Polyhedra.constr list) list) =
         |> List.map (List.map snd)
       end
 
-let generate ?(context_min = 1) (tgt : target) =
+let generate (tgt : target) =
   let nlevels = tgt.tnlevels in
   let np = List.length tgt.tprogram.Ir.params in
-  let infos = prepare ~context_min tgt in
+  let infos = prepare tgt in
   let width = nlevels + np + 1 in
   let context_rows =
     List.map

@@ -73,10 +73,10 @@ type t = {
 exception Codegen_error of string
 
 (** [generate target] scans the union of statement polyhedra under the target
-    scattering.  [context_min] (default 1) is the assumed lower bound on every
-    structure parameter (CLooG's context).
+    scattering, assuming every structure parameter is at least 1 (CLooG's
+    context).
     @raise Codegen_error on non-full-rank scatterings or unbounded loops. *)
-val generate : ?context_min:int -> Pluto.Types.target -> t
+val generate : Pluto.Types.target -> t
 
 (** [with_unroll_innermost t ~factor] marks every innermost loop whose level
     is a parallel loop (or a §5.4 forced-vectorization level) with unroll

@@ -23,7 +23,6 @@ type config = {
   shift_bound : int;  (** upper bound for the constant coefficient c₀ *)
   u_bound : int;  (** upper bound for each component of [u] *)
   w_bound : int;  (** upper bound for [w] *)
-  ctx : int;  (** parameter value for satisfaction tests *)
   input_deps : bool;  (** include read-read dependences in the bounding *)
   use_cost_bound : bool;
       (** apply the communication-volume bounding objective (4); disabling it
@@ -41,7 +40,6 @@ let default_config =
     shift_bound = 10;
     u_bound = 20;
     w_bound = 1000;
-    ctx = 100;
     input_deps = true;
     use_cost_bound = true;
     budget = Milp.default_budget;
@@ -163,53 +161,14 @@ let dep_systems lay (d : Deps.t) =
 
 (* --------------------- concrete satisfaction checks ---------------------- *)
 
-(* Fix the trailing [np] parameter columns of a dependence polyhedron. *)
-let fix_params ~np ~ctx (poly : Polyhedra.t) =
-  let nv = poly.Polyhedra.nvars in
-  let fix =
-    List.map
-      (fun j ->
-        let r = Vec.zero (nv + 1) in
-        r.(nv - np + j) <- Bigint.one;
-        r.(nv) <- Bigint.of_int (-ctx);
-        Polyhedra.eq r)
-      (Putil.range np)
-  in
-  Polyhedra.meet poly (Polyhedra.of_constrs nv fix)
-
-let nonempty_int ~np ~ctx poly =
-  (* On budget exhaustion answer "nonempty": every caller uses emptiness to
-     justify an optimization (satisfaction, parallelism, dismissal), so the
-     conservative answer only costs precision, never correctness. *)
-  try
-    let sys = fix_params ~np ~ctx poly in
-    (* all variables integral (iteration counters), so integer-tightened
-       canonical emptiness and the memoized feasibility test are sound *)
-    if Polyhedra.is_empty_cached ~integer:true sys then false
-    else Option.is_some (Milp.feasible_cached sys)
-  with Diag.Budget_exceeded _ -> true
-
 (* δ >= 1 everywhere on the dependence polyhedron? *)
 let delta_always_ge1 ~nonempty (d : Deps.t) (delta : Vec.t) =
-  (* δ <= 0  ==  -δ >= 0 *)
-  not (nonempty (Polyhedra.add d.Deps.poly (Polyhedra.ge (Vec.neg delta))))
+  not (nonempty (Polyhedra.add d.Deps.poly (Deps.delta_le_0 delta)))
 
 (* Does δ take a non-zero value anywhere on the polyhedron? *)
 let delta_has_component ~nonempty (d : Deps.t) (delta : Vec.t) =
-  let width = Array.length delta in
-  let plus =
-    (* δ >= 1 *)
-    let r = Vec.copy delta in
-    r.(width - 1) <- Bigint.sub r.(width - 1) Bigint.one;
-    Polyhedra.add d.Deps.poly (Polyhedra.ge r)
-  in
-  let minus =
-    (* δ <= -1 *)
-    let r = Vec.neg delta in
-    r.(width - 1) <- Bigint.sub r.(width - 1) Bigint.one;
-    Polyhedra.add d.Deps.poly (Polyhedra.ge r)
-  in
-  nonempty plus || nonempty minus
+  nonempty (Polyhedra.add d.Deps.poly (Deps.delta_ge_1 delta))
+  || nonempty (Polyhedra.add d.Deps.poly (Deps.delta_le_minus_1 delta))
 
 (* ------------------------------ main search ------------------------------ *)
 
@@ -563,7 +522,7 @@ let transform ?(config = default_config) (p : Ir.program) (deps : Deps.t list) =
       budget_note := Some msg;
       None
   in
-  match search p deps ~find_rows ~nonempty:(nonempty_int ~np:lay.np ~ctx:config.ctx) with
+  match search p deps ~find_rows ~nonempty:(Deps.nonempty ~np:lay.np) with
   | Ok t -> t
   | Error (No_row { level; live }) ->
       raise
@@ -604,10 +563,10 @@ let pp_transform fmt (t : transform) =
     statement's scattering rows (width depth+1); [scalar.(l)] marks static
     levels.  Band structure: consecutive non-scalar levels form one band per
     maximal run (callers can re-band afterwards if they know better). *)
-let annotate ?(config = default_config) (p : Ir.program) (deps : Deps.t list)
-    ~(rows : int array array array) ~(scalar : bool array) : transform =
+let annotate (p : Ir.program) (deps : Deps.t list) ~(rows : int array array array)
+    ~(scalar : bool array) : transform =
   let nlevels = Array.length scalar in
-  let nonempty = nonempty_int ~np:(Ir.nparams p) ~ctx:config.ctx in
+  let nonempty = Deps.nonempty ~np:(Ir.nparams p) in
   let legality = List.filter Deps.is_hard deps in
   let satisfied_at = Hashtbl.create 16 in
   let live = Hashtbl.create 16 in
@@ -680,7 +639,7 @@ let annotate ?(config = default_config) (p : Ir.program) (deps : Deps.t list)
 (** The identity (original-order) transformation: levels alternate the static
     position and the loop iterators, i.e. the classic 2d+1 scattering.  Used
     as the oracle order and as the "native compiler" baseline. *)
-let identity_transform ?config (p : Ir.program) (deps : Deps.t list) : transform =
+let identity_transform (p : Ir.program) (deps : Deps.t list) : transform =
   let maxd = List.fold_left (fun a s -> max a (Ir.depth s)) 0 p.Ir.stmts in
   let nlevels = (2 * maxd) + 1 in
   let scalar = Array.init nlevels (fun l -> l mod 2 = 0) in
@@ -702,4 +661,4 @@ let identity_transform ?config (p : Ir.program) (deps : Deps.t list) : transform
                row))
          p.Ir.stmts)
   in
-  annotate ?config p deps ~rows ~scalar
+  annotate p deps ~rows ~scalar

@@ -37,7 +37,6 @@ type config = {
   shift_bound : int;  (** upper bound for the constant coefficient c₀ *)
   u_bound : int;  (** upper bound for each component of [u] *)
   w_bound : int;  (** upper bound for [w] *)
-  ctx : int;  (** parameter value used by concrete satisfaction tests *)
   input_deps : bool;  (** include read-read dependences in the cost function *)
   use_cost_bound : bool;
       (** apply the communication-volume bounding objective (4); disabling it
@@ -85,7 +84,8 @@ type stuck =
     [None]; [states] are [deps] in order, [hmats.(id)] the rows found so far
     that raised statement [id]'s rank.  An all-zero answer counts as
     [None].  [nonempty sys] answers whether [sys] has an integer point; a
-    "yes" is always the conservative answer.
+    "yes" is always the conservative answer.  The Pluto search and
+    {!annotate} pass {!Deps.nonempty}.
     @raise Invalid_argument when statement ids are not [0 .. n-1] in order. *)
 val search :
   Ir.program ->
@@ -148,10 +148,9 @@ val transform :
 (** [annotate p deps ~rows ~scalar] rebuilds satisfaction bookkeeping, band
     structure and per-level parallelism flags for an externally supplied
     transformation ([rows.(stmt_id).(level)] of width depth+1; [scalar.(l)]
-    marks static levels).  Used by the baseline schemes and the identity
+    marks static levels).  Its emptiness tests are {!Deps.nonempty}.  Used by the baseline schemes and the identity
     transformation. *)
 val annotate :
-  ?config:config ->
   Ir.program ->
   Deps.t list ->
   rows:int array array array ->
@@ -161,7 +160,6 @@ val annotate :
 (** [identity_transform p deps] is the original-execution-order scattering
     (the classic 2d+1 form), annotated with parallelism information — the
     "native compiler" view of the program. *)
-val identity_transform :
-  ?config:config -> Ir.program -> Deps.t list -> Types.transform
+val identity_transform : Ir.program -> Deps.t list -> Types.transform
 
 val pp_transform : Format.formatter -> Types.transform -> unit

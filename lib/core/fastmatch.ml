@@ -54,11 +54,7 @@ let proves_empty sys =
 
 (* δ >= 0 everywhere on the dependence polyhedron (params symbolic)? *)
 let delta_always_ge0 (d : Deps.t) (delta : Vec.t) =
-  (* δ <= -1  ==  -δ - 1 >= 0 *)
-  let w = Array.length delta in
-  let r = Vec.neg delta in
-  r.(w - 1) <- Bigint.sub r.(w - 1) Bigint.one;
-  proves_empty (Polyhedra.add d.Deps.poly (Polyhedra.ge r))
+  proves_empty (Polyhedra.add d.Deps.poly (Deps.delta_le_minus_1 delta))
 
 (* ------------------------------ the search ------------------------------- *)
 

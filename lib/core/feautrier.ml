@@ -25,16 +25,6 @@
 
 open Types
 
-(* schedule coefficients use a slightly larger space than the Pluto search
-   since θ must cover whole dependence chains *)
-let config =
-  {
-    Auto.default_config with
-    Auto.coeff_bound = 4;
-    shift_bound = 10;
-    input_deps = false;
-  }
-
 (* the same form minus 1: δ - 1 >= 0 is strong satisfaction *)
 let delta_minus_one lay d =
   let f = Auto.delta_form lay d in
@@ -64,7 +54,8 @@ exception No_schedule of string
    all unsatisfied deps, δ >= 1 for a greedily maximal subset, and minimize
    the latency bound (u, w first in the lexmin).  [strong.(i)] caches the
    Farkas systems. *)
-let schedule_rows ?(config = config) (p : Ir.program) (deps : Deps.t list) =
+let schedule_rows ?(config = Auto.default_config) (p : Ir.program)
+    (deps : Deps.t list) =
   let budget = config.Auto.budget in
   let lay = Auto.make_layout ~blocks:1 p in
   let legality = List.filter Deps.is_legality deps in
@@ -141,9 +132,10 @@ let schedule_rows ?(config = config) (p : Ir.program) (deps : Deps.t list) =
 (** [scheduling_transform p deps] — the full §7 baseline: Feautrier schedule
     dimensions first, Griebl FCO completion to full rank.  Returns the
     transform and whether the completion satisfied the FCO condition (only
-    then is time tiling of the band legal). *)
-let scheduling_transform ?(config = config) (p : Ir.program) (deps : Deps.t list) :
-    transform * bool =
+    then is time tiling of the band legal).  [config] supplies the ILP's
+    variable bounds and budget; the search uses Pluto's (the default). *)
+let scheduling_transform ?(config = Auto.default_config) (p : Ir.program)
+    (deps : Deps.t list) : transform * bool =
   let budget = config.Auto.budget in
   let sched = schedule_rows ~config p deps in
   let lay = Auto.make_layout ~blocks:1 p in

@@ -95,6 +95,17 @@ let satisfaction_row (p : Ir.program) d (row_src : int array)
   r.(width - 1) <- Bigint.of_int (row_dst.(mt) - row_src.(ms));
   r
 
+(* The sign of δ as one constraint row over the same variables. *)
+let delta_ge_1 (delta : Vec.t) =
+  let r = Vec.copy delta in
+  let w = Array.length r in
+  r.(w - 1) <- Bigint.sub r.(w - 1) Bigint.one;
+  Polyhedra.ge r
+
+let delta_le_minus_1 (delta : Vec.t) = delta_ge_1 (Vec.neg delta)
+
+let delta_le_0 (delta : Vec.t) = Polyhedra.ge (Vec.neg delta)
+
 (* Ordering constraints "s executed before t" for a given level.
    [level = Some l]: equality on common dims 0..l-1, strict s_l < t_l.
    [level = None]: equality on all common dims (loop-independent); only valid
@@ -141,27 +152,38 @@ let build_poly (p : Ir.program) src dst ~level src_acc dst_acc =
   let order = order_constrs ~ms ~width ~level ~common in
   Polyhedra.of_constrs nv (cs_src @ cs_dst @ access_eqs @ order)
 
-(* Integer emptiness with parameters fixed to the context value.  On solver
-   budget exhaustion the dependence is conservatively assumed to exist — an
-   over-approximated dependence graph only restricts the transformations,
-   never their legality. *)
-let nonempty ~ctx ~np (poly : Polyhedra.t) =
-  try
-    let nv = poly.Polyhedra.nvars in
-    let fix =
-      List.map
-        (fun j ->
-          let r = Vec.zero (nv + 1) in
-          r.(nv - np + j) <- Bigint.one;
-          r.(nv) <- Bigint.of_int (-ctx);
-          Polyhedra.eq r)
-        (Putil.range np)
-    in
-    let sys = Polyhedra.meet poly (Polyhedra.of_constrs nv fix) in
-    (* every variable here is integral (iteration counters), so the
-       integer-tightened canonical emptiness test is sound *)
-    if Polyhedra.is_empty_cached ~integer:true sys then false
-    else match Milp.feasible_cached sys with Some _ -> true | None -> false
+(* ------------------------- the integer-point test ------------------------- *)
+
+(* Integer point of a system, or None when it has none.  Every variable is an
+   iteration counter or a structure parameter, so the integer-tightened
+   canonical emptiness test is a sound prefilter; the memoized ILP settles
+   the rest. *)
+let integer_point sys =
+  if Polyhedra.is_empty_cached ~integer:true sys then None
+  else Milp.feasible_cached sys
+
+(* The context every dependence question is asked in: each structure
+   parameter pinned to one large value. *)
+let context = 100
+
+let pin ~np (poly : Polyhedra.t) =
+  let nv = poly.Polyhedra.nvars in
+  let fix =
+    List.map
+      (fun j ->
+        let r = Vec.zero (nv + 1) in
+        r.(nv - np + j) <- Bigint.one;
+        r.(nv) <- Bigint.of_int (-context);
+        Polyhedra.eq r)
+      (Putil.range np)
+  in
+  Polyhedra.meet poly (Polyhedra.of_constrs nv fix)
+
+(* On solver budget exhaustion the answer is "nonempty": every caller uses
+   emptiness to drop a dependence or justify an optimization, so the
+   conservative answer only costs precision, never correctness. *)
+let nonempty ~np sys =
+  try Option.is_some (integer_point (pin ~np sys))
   with Diag.Budget_exceeded _ -> true
 
 (* Semantic completion of {!Ir.reduction_of_stmt}: the statement is a genuine
@@ -170,9 +192,9 @@ let nonempty ~ctx ~np (poly : Polyhedra.t) =
    [a[i][j] -= a[i][k] * a[k][j]] qualifies because its domain has [j > k]
    and [i > k], making both alias systems integer-empty.  A read with a
    syntactically identical map was already rejected by the Ir half;
-   everything else gets a polyhedral emptiness test (parameters fixed to
-   [ctx], the same context the dependence tester itself uses). *)
-let reduction_of_stmt ~ctx ~np (s : Ir.stmt) =
+   everything else gets a polyhedral emptiness test in the same context
+   the dependence tester itself uses. *)
+let reduction_of_stmt ~np (s : Ir.stmt) =
   match Ir.reduction_of_stmt s with
   | None -> None
   | Some r ->
@@ -190,7 +212,7 @@ let reduction_of_stmt ~ctx ~np (s : Ir.stmt) =
         let sys =
           Polyhedra.meet s.Ir.domain (Polyhedra.of_constrs nv eqs)
         in
-        nonempty ~ctx ~np sys
+        nonempty ~np sys
       in
       let others =
         List.filter
@@ -201,8 +223,7 @@ let reduction_of_stmt ~ctx ~np (s : Ir.stmt) =
       in
       if List.exists may_alias others then None else Some r
 
-let compute ?(input_deps = true) ?(reductions = false) ?(ctx = 100)
-    (p : Ir.program) =
+let compute ?(input_deps = true) ?(reductions = false) (p : Ir.program) =
   let np = Ir.nparams p in
   let deps = ref [] in
   let next = ref 0 in
@@ -214,7 +235,7 @@ let compute ?(input_deps = true) ?(reductions = false) ?(ctx = 100)
       match Hashtbl.find_opt red_cache s.Ir.id with
       | Some r -> r
       | None ->
-          let r = reduction_of_stmt ~ctx ~np s in
+          let r = reduction_of_stmt ~np s in
           Hashtbl.add red_cache s.Ir.id r;
           r
   in
@@ -245,7 +266,7 @@ let compute ?(input_deps = true) ?(reductions = false) ?(ctx = 100)
       List.iter
         (fun level ->
           let poly = build_poly p src dst ~level src_acc dst_acc in
-          if nonempty ~ctx ~np poly then begin
+          if nonempty ~np poly then begin
             let d =
               {
                 id = !next;

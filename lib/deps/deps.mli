@@ -12,8 +12,8 @@
       common loop, or loop-independent between syntactically ordered
       statements).
 
-    Candidate polyhedra that contain no integer point (parameters fixed to a
-    large context value) are discarded.  This is the memory-based exact
+    Candidate polyhedra that contain no integer point in the parameter
+    context ({!nonempty}) are discarded.  This is the memory-based exact
     dependence model the paper uses (including all of anti/output/input; no
     conversion to single assignment). *)
 
@@ -50,15 +50,13 @@ val is_hard : t -> bool
 
 val kind_name : kind -> string
 
-(** [compute ?input_deps ?reductions ?ctx program] builds the DDG edge list.
-    [ctx] (default 100) is the parameter value used for the integer emptiness
-    test of each candidate polyhedron.  With [reductions:true] (default
-    false), self-dependences of associative/commutative self-update
+(** [compute ?input_deps ?reductions program] builds the DDG edge list,
+    keeping each candidate polyhedron that is {!nonempty}.  With
+    [reductions:true] (default false), self-dependences of associative/commutative self-update
     statements whose accumulator cell is provably not aliased by any other
     read of the same array ({!Ir.reduction_of_stmt} plus a per-read
     polyhedral emptiness test) are marked [reduction]. *)
-val compute :
-  ?input_deps:bool -> ?reductions:bool -> ?ctx:int -> Ir.program -> t list
+val compute : ?input_deps:bool -> ?reductions:bool -> Ir.program -> t list
 
 (** [nvars d] is the variable count of [d.poly]. *)
 val nvars : t -> int
@@ -77,5 +75,37 @@ val matched_dims : t -> (int * int) list
     per-statement transformation rows (each over own iters + const, width
     depth+1).  The result row has width [nvars d + 1]. *)
 val satisfaction_row : Ir.program -> t -> int array -> int array -> Vec.t
+
+(** The sign of a δ row ({!satisfaction_row}) as one constraint over the
+    same variables: [δ >= 1], [δ <= -1] and [δ <= 0]. *)
+val delta_ge_1 : Vec.t -> Polyhedra.constr
+
+val delta_le_minus_1 : Vec.t -> Polyhedra.constr
+val delta_le_0 : Vec.t -> Polyhedra.constr
+
+(** {1 The integer-point test}
+
+    Every dependence-shaped question the scheduler, the code generator and
+    the validator ask — does this system have an integer point? — goes
+    through these functions.  Their variables are iteration counters
+    followed by the structure parameters, the parameters last. *)
+
+(** [integer_point sys] — an integer point of [sys], or [None] when it has
+    none: an integer-tightened Fourier–Motzkin emptiness prefilter, then the
+    memoized ILP ({!Milp.feasible_cached}).
+    @raise Diag.Budget_exceeded when a solver budget runs out. *)
+val integer_point : Polyhedra.t -> Bigint.t array option
+
+(** [pin ~np sys] adds [p_j = 100] for each of the trailing [np] parameter
+    columns: the one parameter context in which the dependence tester, the
+    scheduler, the reduction-clause marker and the validator's claim checks
+    all decide emptiness. *)
+val pin : np:int -> Polyhedra.t -> Polyhedra.t
+
+(** [nonempty ~np sys] — has [pin ~np sys] an integer point?  Solver budget
+    exhaustion answers [true], the conservative answer for every caller: it
+    keeps a dependence, or withholds a satisfaction, parallelism or
+    dismissal claim. *)
+val nonempty : np:int -> Polyhedra.t -> bool
 
 val pp : Format.formatter -> t -> unit

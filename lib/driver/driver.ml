@@ -264,10 +264,10 @@ let build_target options (tr : Pluto.Types.transform) =
    The clause privatizes the whole array (OpenMP 4.5 C array reductions),
    which is correct for cell accumulators too: private copies start at the
    op's identity and the combiner folds per-thread contributions into the
-   live-in values.  A solver-budget blowup conservatively attaches the
-   clause — a superfluous clause is semantically harmless, a missing one is
-   a race. *)
-let reduction_clauses ~ctx (tgt : Pluto.Types.target) (deps : Deps.t list) =
+   live-in values.  The test is {!Deps.nonempty}, whose answer on a
+   solver-budget blowup conservatively attaches the clause — a superfluous
+   clause is semantically harmless, a missing one is a race. *)
+let reduction_clauses (tgt : Pluto.Types.target) (deps : Deps.t list) =
   let nlevels = tgt.Pluto.Types.tnlevels in
   let clauses = Array.make nlevels [] in
   let np = List.length tgt.Pluto.Types.tprogram.Ir.params in
@@ -319,15 +319,6 @@ let reduction_clauses ~ctx (tgt : Pluto.Types.target) (deps : Deps.t list) =
                 Polyhedra.eq coefs)
               (Putil.range (Array.length r.Ir.red_acc.Ir.map))
           in
-          let fix =
-            List.map
-              (fun j ->
-                let c = Vec.zero width in
-                c.((2 * next) + j) <- Bigint.one;
-                c.(width - 1) <- Bigint.of_int (-ctx);
-                Polyhedra.eq c)
-              (Putil.range np)
-          in
           let trow_delta l =
             let row = ts.Pluto.Types.trows.(l) in
             let coefs = Vec.zero width in
@@ -342,22 +333,12 @@ let reduction_clauses ~ctx (tgt : Pluto.Types.target) (deps : Deps.t list) =
               let prefix_eqs =
                 List.map (fun k -> Polyhedra.eq (trow_delta k)) (Putil.range l)
               in
-              let ge1 =
-                let c = trow_delta l in
-                c.(width - 1) <- Bigint.minus_one;
-                Polyhedra.ge c
-              in
               let sys =
                 Polyhedra.of_constrs nv
-                  (base_cs @ acc_eqs @ fix @ prefix_eqs @ [ ge1 ])
+                  (base_cs @ acc_eqs @ prefix_eqs
+                  @ [ Deps.delta_ge_1 (trow_delta l) ])
               in
-              let carries =
-                try
-                  if Polyhedra.is_empty_cached ~integer:true sys then false
-                  else Option.is_some (Milp.feasible_cached sys)
-                with Diag.Budget_exceeded _ -> true
-              in
-              if carries then begin
+              if Deps.nonempty ~np sys then begin
                 let clause =
                   (Ir.binop_symbol r.Ir.red_op, s.Ir.lhs.Ir.arr)
                 in
@@ -384,7 +365,7 @@ let compile_with_transform ?(options = default_options) program deps transform =
     if options.reductions then
       Codegen.with_reductions code
         (Stats.time "pass.reduction_clauses" (fun () ->
-             reduction_clauses ~ctx:options.auto.Pluto.Auto.ctx target deps))
+             reduction_clauses target deps))
     else code
   in
   { program; deps; transform; target; code }
@@ -405,10 +386,10 @@ let compile_feautrier ?(options = default_options) program =
   let deps =
     Deps.compute ~input_deps:false ~reductions:options.reductions program
   in
+  (* the caller's budget, but always Pluto's default bounds: a caller that
+     narrows the Pluto search (to force this rung) must not narrow this one *)
   let config =
-    { Pluto.Feautrier.config with
-      Pluto.Auto.budget = options.auto.Pluto.Auto.budget;
-    }
+    { Pluto.Auto.default_config with Pluto.Auto.budget = options.auto.Pluto.Auto.budget }
   in
   let tr, fco = Pluto.Feautrier.scheduling_transform ~config program deps in
   (* time tiling is legal only when the completion kept every row forward *)
@@ -417,7 +398,7 @@ let compile_feautrier ?(options = default_options) program =
 
 let compile_original ?(options = default_options) program =
   let deps = Deps.compute ~reductions:options.reductions program in
-  let transform = Pluto.Auto.identity_transform ~config:options.auto program deps in
+  let transform = Pluto.Auto.identity_transform program deps in
   let target = Pluto.Tiling.untiled_target transform in
   (* original code: no OpenMP marks (icc's auto-parallelizer fails on these) *)
   let target =
@@ -621,9 +602,8 @@ let degraded ds =
   || Diag.has_code ds "degraded-identity"
   || Diag.has_code ds "degraded-tune"
 
-let verify ?param_lo ?param_hi ?claim_ctx ?params (r : result) =
-  Verify.validate ?param_lo ?param_hi ?claim_ctx ?params r.program r.deps
-    r.transform r.code
+let verify ?params (r : result) =
+  Verify.validate ?params r.program r.deps r.transform r.code
 
 let compile_robust ?(options = default_options) ?(strict = false)
     ?(verify = false) ?deadline_s program =

@@ -117,7 +117,8 @@ val compile : ?options:options -> Ir.program -> result
 
 (** [compile_feautrier ?options program] — the scheduling-based scheme of
     §7 end to end: the Feautrier schedule with Griebl's FCO completion
-    ({!Pluto.Feautrier}, under [options.auto]'s solver budget) over the
+    ({!Pluto.Feautrier}, under [options.auto]'s solver budget but with
+    {!Pluto.Auto.default_config}'s variable bounds) over the
     dependences without read-read edges, time-tiled only when the completion
     satisfied the FCO condition.  The degradation ladder's middle rung.
     @raise Pluto.Feautrier.No_schedule if no schedule is found. *)
@@ -207,14 +208,8 @@ val degraded : Diag.t list -> bool
     tests and embedders building their own rungs. *)
 val attempt : what:string -> (unit -> 'a) -> ('a, Diag.t) Stdlib.result
 
-(** [verify ?param_lo ?param_hi ?claim_ctx ?params r] — run the independent
-    translation validator ({!Verify.validate}) on a compilation result:
-    re-proves schedule legality over the dependence polyhedra and that the
-    generated AST scans exactly the original iteration domains. *)
-val verify :
-  ?param_lo:int ->
-  ?param_hi:int ->
-  ?claim_ctx:int ->
-  ?params:int array ->
-  result ->
-  Verify.report
+(** [verify ?params r] — run the independent translation validator
+    ({!Verify.validate}) on a compilation result: re-proves schedule
+    legality over the dependence polyhedra and that the generated AST scans
+    exactly the original iteration domains. *)
+val verify : ?params:int array -> result -> Verify.report

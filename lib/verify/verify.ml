@@ -32,53 +32,25 @@ let failf code fmt = Printf.ksprintf (fun m -> { f_code = code; f_message = m })
 
 (* ------------------------- constraint construction ------------------------ *)
 
-(* p_j in [lo, hi] for the trailing [np] columns of an [nv]-variable system. *)
-let param_box ~nv ~np ~lo ~hi =
+(* Legality and reduction marks are proved for every parameter value in
+   [param_lo, param_hi]. *)
+let param_lo = 1
+let param_hi = 10
+
+(* p_j in [param_lo, param_hi] for the trailing [np] columns of an
+   [nv]-variable system. *)
+let param_box ~nv ~np =
   List.concat_map
     (fun j ->
       let col = nv - np + j in
       let ge_lo = Vec.zero (nv + 1) in
       ge_lo.(col) <- Bigint.one;
-      ge_lo.(nv) <- Bigint.of_int (-lo);
+      ge_lo.(nv) <- Bigint.of_int (-param_lo);
       let le_hi = Vec.zero (nv + 1) in
       le_hi.(col) <- Bigint.minus_one;
-      le_hi.(nv) <- Bigint.of_int hi;
+      le_hi.(nv) <- Bigint.of_int param_hi;
       [ Polyhedra.ge ge_lo; Polyhedra.ge le_hi ])
     (Putil.range np)
-
-let param_fix ~nv ~np ~ctx =
-  List.map
-    (fun j ->
-      let r = Vec.zero (nv + 1) in
-      r.(nv - np + j) <- Bigint.one;
-      r.(nv) <- Bigint.of_int (-ctx);
-      Polyhedra.eq r)
-    (Putil.range np)
-
-(* delta <= -1  as a constraint row *)
-let le_minus1 (delta : Vec.t) =
-  let r = Vec.neg delta in
-  let w = Array.length r in
-  r.(w - 1) <- Bigint.sub r.(w - 1) Bigint.one;
-  Polyhedra.ge r
-
-(* delta >= 1 *)
-let ge_1 (delta : Vec.t) =
-  let r = Vec.copy delta in
-  let w = Array.length r in
-  r.(w - 1) <- Bigint.sub r.(w - 1) Bigint.one;
-  Polyhedra.ge r
-
-(* delta <= 0 *)
-let le_0 (delta : Vec.t) = Polyhedra.ge (Vec.neg delta)
-
-(* Integer witness of a system, or None when empty.  Canonical (memoized)
-   emptiness is tried first — integer tightening is sound because every
-   variable is an iteration counter or structure parameter — and the cached
-   ILP layer settles the rest. *)
-let witness sys =
-  if Polyhedra.is_empty_cached ~integer:true sys then None
-  else Milp.feasible_cached sys
 
 (* -------------------------------- reporting ------------------------------ *)
 
@@ -139,15 +111,15 @@ let obligation ~count ~failures ~what f =
         :: !failures
 
 (* Lexicographic positivity of delta over every integer point of the
-   dependence polyhedron, parameters bounded in [lo, hi]. *)
-let check_dep_legality ~count ~failures ~lo ~hi (p : Ir.program)
+   dependence polyhedron, parameters in the box. *)
+let check_dep_legality ~count ~failures (p : Ir.program)
     (t : Pluto.Types.transform) (d : Deps.t) =
   let nv = Deps.nvars d in
   let np = Ir.nparams p in
   let deltas = delta_rows p t d in
   let base =
     Polyhedra.meet d.Deps.poly
-      (Polyhedra.of_constrs nv (param_box ~nv ~np ~lo ~hi))
+      (Polyhedra.of_constrs nv (param_box ~nv ~np))
   in
   let prefix = ref base in
   (try
@@ -155,7 +127,9 @@ let check_dep_legality ~count ~failures ~lo ~hi (p : Ir.program)
        obligation ~count ~failures
          ~what:(Printf.sprintf "%s level %d" (describe_dep d) k)
          (fun () ->
-           match witness (Polyhedra.add !prefix (le_minus1 deltas.(k))) with
+           match
+             Deps.integer_point (Polyhedra.add !prefix (Deps.delta_le_minus_1 deltas.(k)))
+           with
            | None -> None
            | Some w ->
                Some
@@ -172,7 +146,7 @@ let check_dep_legality ~count ~failures ~lo ~hi (p : Ir.program)
      done;
      obligation ~count ~failures ~what:(describe_dep d ^ " (ordering)")
        (fun () ->
-         match witness !prefix with
+         match Deps.integer_point !prefix with
          | None -> None
          | Some w ->
              Some
@@ -184,23 +158,23 @@ let check_dep_legality ~count ~failures ~lo ~hi (p : Ir.program)
 
 (* ---------------------------- claim checking ----------------------------- *)
 
-let check_dep_claims ~count ~failures ~ctx (p : Ir.program)
+(* The search justified its claims in the parameter context of {!Deps.pin},
+   so they are checked there. *)
+
+let check_dep_claims ~count ~failures (p : Ir.program)
     (t : Pluto.Types.transform) (d : Deps.t) =
   match Pluto.Types.satisfaction_level t d with
   | None -> ()
   | Some sl ->
-      let nv = Deps.nvars d in
-      let np = Ir.nparams p in
       let deltas = delta_rows p t d in
-      let fixed =
-        Polyhedra.meet d.Deps.poly
-          (Polyhedra.of_constrs nv (param_fix ~nv ~np ~ctx))
-      in
+      let fixed = Deps.pin ~np:(Ir.nparams p) d.Deps.poly in
       for l = 0 to sl - 1 do
         obligation ~count ~failures
           ~what:(Printf.sprintf "%s claim level %d" (describe_dep d) l)
           (fun () ->
-            match witness (Polyhedra.add fixed (le_minus1 deltas.(l))) with
+            match
+              Deps.integer_point (Polyhedra.add fixed (Deps.delta_le_minus_1 deltas.(l)))
+            with
             | None -> None
             | Some w ->
                 Some
@@ -212,7 +186,7 @@ let check_dep_claims ~count ~failures ~ctx (p : Ir.program)
       obligation ~count ~failures
         ~what:(Printf.sprintf "%s claim satisfaction" (describe_dep d))
         (fun () ->
-          match witness (Polyhedra.add fixed (le_0 deltas.(sl))) with
+          match Deps.integer_point (Polyhedra.add fixed (Deps.delta_le_0 deltas.(sl))) with
           | None -> None
           | Some w ->
               Some
@@ -224,7 +198,7 @@ let check_dep_claims ~count ~failures ~ctx (p : Ir.program)
 (* A level marked parallel must carry no dependence: restricted to the pairs
    not already ordered by outer levels (prefix of zero components), delta at
    the level must be identically zero. *)
-let check_parallel_claims ~count ~failures ~ctx (p : Ir.program)
+let check_parallel_claims ~count ~failures (p : Ir.program)
     (t : Pluto.Types.transform) (deps : Deps.t list) =
   let parallel_levels =
     List.filter
@@ -235,13 +209,8 @@ let check_parallel_claims ~count ~failures ~ctx (p : Ir.program)
     List.iter
       (fun (d : Deps.t) ->
         if Deps.is_hard d then begin
-          let nv = Deps.nvars d in
-          let np = Ir.nparams p in
           let deltas = delta_rows p t d in
-          let fixed =
-            Polyhedra.meet d.Deps.poly
-              (Polyhedra.of_constrs nv (param_fix ~nv ~np ~ctx))
-          in
+          let fixed = Deps.pin ~np:(Ir.nparams p) d.Deps.poly in
           List.iter
             (fun l ->
               let skip =
@@ -261,7 +230,7 @@ let check_parallel_claims ~count ~failures ~ctx (p : Ir.program)
                       (Printf.sprintf "%s parallel level %d (%s)"
                          (describe_dep d) l name)
                     (fun () ->
-                      match witness (Polyhedra.add prefix c) with
+                      match Deps.integer_point (Polyhedra.add prefix c) with
                       | None -> None
                       | Some w ->
                           Some
@@ -271,8 +240,8 @@ let check_parallel_claims ~count ~failures ~ctx (p : Ir.program)
                                l (describe_dep d) l name
                                (describe_witness p d w)))
                 in
-                side ">" (ge_1 deltas.(l));
-                side "<" (le_minus1 deltas.(l))
+                side ">" (Deps.delta_ge_1 deltas.(l));
+                side "<" (Deps.delta_le_minus_1 deltas.(l))
               end)
             parallel_levels
         end)
@@ -287,8 +256,8 @@ let check_parallel_claims ~count ~failures ~ctx (p : Ir.program)
    ({!Ir.reduction_of_stmt}, shared syntax only: the polyhedral work below is
    independent), that both endpoints are the accumulator access, and that no
    other read of the accumulator's array can alias the accumulator cell
-   anywhere in the iteration domain with parameters bounded in [lo, hi]. *)
-let check_reduction_marks ~count ~failures ~lo ~hi (p : Ir.program)
+   anywhere in the iteration domain with parameters in the box. *)
+let check_reduction_marks ~count ~failures (p : Ir.program)
     (deps : Deps.t list) =
   let np = Ir.nparams p in
   let alias_checked = Hashtbl.create 4 in
@@ -318,9 +287,9 @@ let check_reduction_marks ~count ~failures ~lo ~hi (p : Ir.program)
                 let sys =
                   Polyhedra.meet s.Ir.domain
                     (Polyhedra.of_constrs nv
-                       (eqs @ param_box ~nv ~np ~lo ~hi))
+                       (eqs @ param_box ~nv ~np))
                 in
-                match witness sys with
+                match Deps.integer_point sys with
                 | None -> None
                 | Some w ->
                     Some
@@ -369,23 +338,21 @@ let check_reduction_marks ~count ~failures ~lo ~hi (p : Ir.program)
       end)
     deps
 
-let validate_transform ?(param_lo = 1) ?(param_hi = 10) ?(claim_ctx = 100)
-    (p : Ir.program) (deps : Deps.t list) (t : Pluto.Types.transform) =
+let validate_transform (p : Ir.program) (deps : Deps.t list)
+    (t : Pluto.Types.transform) =
   let legality_count = ref 0 and claim_count = ref 0 in
   let failures = ref [] in
   List.iter
     (fun d ->
       if Deps.is_hard d then begin
-        check_dep_legality ~count:legality_count ~failures ~lo:param_lo
-          ~hi:param_hi p t d;
-        check_dep_claims ~count:claim_count ~failures ~ctx:claim_ctx p t d
+        check_dep_legality ~count:legality_count ~failures p t d;
+        check_dep_claims ~count:claim_count ~failures p t d
       end)
     deps;
-  check_parallel_claims ~count:claim_count ~failures ~ctx:claim_ctx p t deps;
+  check_parallel_claims ~count:claim_count ~failures p t deps;
   (* legality modulo reassociation: every edge exempted above must itself be
      proven a reduction edge *)
-  check_reduction_marks ~count:legality_count ~failures ~lo:param_lo
-    ~hi:param_hi p deps;
+  check_reduction_marks ~count:legality_count ~failures p deps;
   {
     empty_report with
     legality_obligations = !legality_count;
@@ -597,14 +564,14 @@ let validate_coverage ~params (p : Ir.program) (cg : Codegen.t) =
 
 (* --------------------------------- driver -------------------------------- *)
 
-let validate ?param_lo ?param_hi ?claim_ctx ?params (p : Ir.program) deps t cg =
+let validate ?params (p : Ir.program) deps t cg =
   let params =
     match params with
     | Some ps -> ps
     | None -> Array.make (List.length p.Ir.params) 6
   in
   merge
-    (validate_transform ?param_lo ?param_hi ?claim_ctx p deps t)
+    (validate_transform p deps t)
     (validate_coverage ~params p cg)
 
 (* Schedule mutations used by the test suite and plutocc's hidden

@@ -16,15 +16,16 @@
       has no integer point.
 
     Each obligation is discharged by a direct integer-emptiness test on the
-    {e instance space} ({!Polyhedra} + {!Milp} branch-and-bound) with the
-    structure parameters bounded in [[param_lo, param_hi]] — a witness is a
+    {e instance space} ({!Deps.integer_point}: {!Polyhedra} + {!Milp}
+    branch-and-bound) with every structure parameter in [[1, 10]] — a
+    witness is a
     concrete pair of statement instances executed in the wrong order, which is
     reported in the failure message.  Because the schedule must be legal for
     {e all} parameter values, any witness is a genuine miscompilation.
 
-    In addition the transform's own {e claims} are re-checked with parameters
-    fixed to [claim_ctx] (the concrete context the search used to justify
-    them): a dependence recorded as strongly satisfied at level [L] must have
+    In addition the transform's own {e claims} are re-checked in the
+    parameter context of {!Deps.pin} — by construction the one the search
+    used to justify them: a dependence recorded as strongly satisfied at level [L] must have
     [δ_l ≥ 0] for [l < L] and [δ_L ≥ 1] over all of [P_e], and a level marked
     parallel must carry no dependence — [P_e ∧ Z_l ∧ (δ_l ≥ 1 ∨ δ_l ≤ −1)]
     empty for every dependence not yet satisfied before [l].
@@ -37,7 +38,7 @@
     syntactic self-update whose endpoints are the accumulator access, and no
     other read of the accumulator's array may alias the accumulator cell
     anywhere in the domain (an integer-emptiness test per read, parameters
-    bounded in [[param_lo, param_hi]]; failures carry code ["reduction"]).
+    in [[1, 10]]; failures carry code ["reduction"]).
     With reductions off no edge is marked and validation is exactly the
     bit-strict check above.
 
@@ -73,32 +74,22 @@ type report = {
 
 val ok : report -> bool
 
-(** [validate_transform ?param_lo ?param_hi ?claim_ctx p deps t] discharges
-    the legality and claim obligations.  Defaults: parameters bounded in
-    [[1, 10]] for legality, fixed to [claim_ctx = 100] (the search's context)
-    for claim checks.  Budget exhaustion and unexpected errors become
-    failures with codes ["budget"] / ["internal"]; only [Out_of_memory],
-    an interrupt and {!Deadline.Expired} propagate. *)
-val validate_transform :
-  ?param_lo:int ->
-  ?param_hi:int ->
-  ?claim_ctx:int ->
-  Ir.program ->
-  Deps.t list ->
-  Pluto.Types.transform ->
-  report
+(** [validate_transform p deps t] discharges the legality obligations
+    (parameters in [[1, 10]]) and the claim obligations (parameters pinned
+    by {!Deps.pin}).  Budget exhaustion and unexpected errors become
+    failures with codes ["budget"] / ["internal"]; only [Out_of_memory], an
+    interrupt and {!Deadline.Expired} propagate. *)
+val validate_transform : Ir.program -> Deps.t list -> Pluto.Types.transform -> report
 
 (** [validate_coverage ~params p cg] checks that the AST scans each
     statement's domain exactly once at the given concrete parameter values
-    (which must respect the [context_min] the code was generated with). *)
+    (each at least 1, the parameter lower bound the code generator
+    assumes). *)
 val validate_coverage : params:int array -> Ir.program -> Codegen.t -> report
 
-(** [validate ?param_lo ?param_hi ?claim_ctx ?params p deps t cg] — both
-    checks; [params] defaults to every parameter set to 6. *)
+(** [validate ?params p deps t cg] — both checks; [params] defaults to every
+    parameter set to 6. *)
 val validate :
-  ?param_lo:int ->
-  ?param_hi:int ->
-  ?claim_ctx:int ->
   ?params:int array ->
   Ir.program ->
   Deps.t list ->
