@@ -1,9 +1,30 @@
-(* Arbitrary-precision signed integers: sign-and-magnitude, magnitudes stored
-   little-endian in base 2^30.  Invariant: [mag] has no trailing zero limb and
-   [sign = 0] iff [mag] is empty.  Limb products fit in OCaml's 63-bit native
-   int (30 + 30 bits plus carries), so no wider arithmetic is needed. *)
+(* Arbitrary-precision signed integers with an immediate small form.
 
-type t = { sign : int; mag : int array }
+   A value in [-(2^61-1), 2^61-1] is an immediate native int.  Any other value
+   is a pointer to a [big] record: sign and magnitude, the magnitude stored
+   little-endian in base 2^30, with no trailing zero limb.  Every value has
+   exactly one form — a result that fits is always made immediate — so
+   [equal], polymorphic [=], [Hashtbl.hash] and [Marshal] all agree.
+
+   The bound leaves one bit of headroom below [max_int]: the sum or
+   difference of two small values never overflows a native int, and
+   negation never leaves the range.  Limb products fit in OCaml's 63-bit
+   native int (30 + 30 bits plus carries), so the big path needs no wider
+   arithmetic. *)
+
+type big = { sign : int; mag : int array }
+type t
+
+(* The two forms, told apart by the runtime tag bit.  These five lines are
+   the only [Obj] use under lib/ and bin/ outside lib/store. *)
+let is_small (x : t) = Obj.is_int (Obj.repr x)
+let small (x : t) : int = Obj.obj (Obj.repr x)
+let of_small (n : int) : t = Obj.obj (Obj.repr n)
+let big (x : t) : big = Obj.obj (Obj.repr x)
+let of_big (b : big) : t = Obj.obj (Obj.repr b)
+
+let max_small = (1 lsl 61) - 1
+let fits n = n >= -max_small && n <= max_small
 
 let base_bits = 30
 let base = 1 lsl base_bits
@@ -170,119 +191,191 @@ let mag_divmod a b =
     (mag_normalize q, mag_normalize (Array.sub r 0 !rlen))
   end
 
+(* --------------------------- the two forms --------------------------- *)
+
+(* The limb record of any native int, [min_int] included.  Not normalized:
+   callers either know the value does not fit or pass it straight to the
+   limb arithmetic. *)
+let big_of_int n =
+  let sign = Stdlib.compare n 0 in
+  (* peel limbs with arithmetic that stays in the negative range, where
+     [min_int] has a representable magnitude *)
+  let rec limbs v acc =
+    if v = 0 then Array.of_list (List.rev acc)
+    else limbs (-((-v) lsr base_bits)) ((-v land base_mask) :: acc)
+  in
+  { sign; mag = limbs (if n > 0 then -n else n) [] }
+
+let to_big x = if is_small x then big_of_int (small x) else big x
+
+(* The one normalization point of the limb path: a magnitude below 2^61 (at
+   most two limbs, or three with a top limb of 1) becomes immediate. *)
+let of_mag sign mag =
+  let n = Array.length mag in
+  if n = 0 then of_small 0
+  else if n <= 2 || (n = 3 && mag.(2) < 2) then begin
+    let v = ref 0 in
+    for i = n - 1 downto 0 do
+      v := (!v lsl base_bits) lor mag.(i)
+    done;
+    of_small (if sign < 0 then - !v else !v)
+  end
+  else of_big { sign; mag }
+
+let of_int n = if fits n then of_small n else of_big (big_of_int n)
+
 (* ------------------------------ public API ------------------------------ *)
 
-let zero = { sign = 0; mag = [||] }
-let one = { sign = 1; mag = [| 1 |] }
-let minus_one = { sign = -1; mag = [| 1 |] }
+let zero = of_small 0
+let one = of_small 1
+let minus_one = of_small (-1)
 
-let make sign mag = if Array.length mag = 0 then zero else { sign; mag }
-
-let of_int n =
-  if n = 0 then zero
+let to_int_opt x =
+  if is_small x then Some (small x)
   else begin
-    let sign = if n > 0 then 1 else -1 in
-    (* Careful with min_int: abs min_int overflows, so peel limbs using
-       arithmetic that stays within the negative range. *)
-    if n = Stdlib.min_int then begin
-      let rec limbs v acc =
-        if v = 0 then List.rev acc
-        else limbs (-((-v) lsr base_bits)) ((-v land base_mask) :: acc)
-      in
-      make sign (Array.of_list (limbs n []))
-    end
+    let b = big x in
+    let n = Array.length b.mag in
+    if n > 3 then None
     else begin
-      let v = ref (abs n) in
-      let acc = ref [] in
-      while !v <> 0 do
-        acc := (!v land base_mask) :: !acc;
-        v := !v lsr base_bits
-      done;
-      make sign (Array.of_list (List.rev !acc))
+      (* the magnitude, negated: the negative range also holds [min_int] *)
+      let rec value i acc =
+        if i < 0 then Some acc
+        else if acc < Stdlib.min_int asr base_bits then None
+        else
+          let shifted = acc lsl base_bits in
+          if shifted < Stdlib.min_int + b.mag.(i) then None
+          else value (i - 1) (shifted - b.mag.(i))
+      in
+      match value (n - 1) 0 with
+      | Some v when b.sign < 0 -> Some v
+      | Some v when v <> Stdlib.min_int -> Some (-v)
+      | _ -> None
     end
   end
 
-let to_int_opt t =
-  let n = Array.length t.mag in
-  if n = 0 then Some 0
-  else if n > 3 then None
-  else begin
-    (* max_int has 62 bits = 2 limbs + 2 bits *)
-    let rec value i acc =
-      if i < 0 then Some acc
-      else if acc > (Stdlib.max_int - t.mag.(i)) lsr base_bits then None
-      else value (i - 1) ((acc lsl base_bits) lor t.mag.(i))
-    in
-    match value (n - 1) 0 with
-    | None -> None
-    | Some v -> Some (if t.sign < 0 then -v else v)
-  end
-
-let to_int t =
-  match to_int_opt t with
+let to_int x =
+  match to_int_opt x with
   | Some v -> v
   | None -> failwith "Bigint.to_int: value does not fit in a native int"
 
-let sign t = t.sign
-let is_zero t = t.sign = 0
-let is_one t = t.sign = 1 && Array.length t.mag = 1 && t.mag.(0) = 1
+let sign x = if is_small x then Stdlib.compare (small x) 0 else (big x).sign
+let is_zero x = x == zero
+let is_one x = x == one
 
-let compare a b =
-  if a.sign <> b.sign then compare a.sign b.sign
+let big_compare a b =
+  if a.sign <> b.sign then Stdlib.compare a.sign b.sign
   else if a.sign >= 0 then mag_cmp a.mag b.mag
   else mag_cmp b.mag a.mag
 
-let equal a b = compare a b = 0
+(* A big value lies outside the small range, so its sign alone orders it
+   against a small one. *)
+let compare a b =
+  if is_small a then
+    if is_small b then Int.compare (small a) (small b) else -(big b).sign
+  else if is_small b then (big a).sign
+  else big_compare (big a) (big b)
 
-let hash t = Hashtbl.hash (t.sign, t.mag)
+let equal a b =
+  a == b || ((not (is_small a)) && (not (is_small b)) && big_compare (big a) (big b) = 0)
 
-let neg t = make (-t.sign) t.mag
-let abs t = make (Stdlib.abs t.sign) t.mag
+let hash (x : t) = Hashtbl.hash x
 
-let add a b =
-  if a.sign = 0 then b
-  else if b.sign = 0 then a
-  else if a.sign = b.sign then make a.sign (mag_add a.mag b.mag)
+let neg x =
+  if is_small x then of_small (- small x)
+  else
+    let b = big x in
+    of_big { b with sign = - b.sign }
+
+let abs x =
+  if is_small x then of_small (Stdlib.abs (small x))
+  else
+    let b = big x in
+    if b.sign > 0 then x else of_big { b with sign = 1 }
+
+let big_add a b =
+  if a.sign = 0 then of_mag b.sign b.mag
+  else if b.sign = 0 then of_mag a.sign a.mag
+  else if a.sign = b.sign then of_mag a.sign (mag_add a.mag b.mag)
   else begin
     let c = mag_cmp a.mag b.mag in
     if c = 0 then zero
-    else if c > 0 then make a.sign (mag_sub a.mag b.mag)
-    else make b.sign (mag_sub b.mag a.mag)
+    else if c > 0 then of_mag a.sign (mag_sub a.mag b.mag)
+    else of_mag b.sign (mag_sub b.mag a.mag)
   end
 
-let sub a b = add a (neg b)
+let add a b =
+  if is_small a && is_small b then of_int (small a + small b)
+  else big_add (to_big a) (to_big b)
 
+let sub a b =
+  if is_small a && is_small b then of_int (small a - small b)
+  else add a (neg b)
+
+(* Below 2^31 in magnitude the product is below 2^62 and cannot overflow;
+   above, the division check catches a wrapped product. *)
 let mul a b =
-  if a.sign = 0 || b.sign = 0 then zero
-  else make (a.sign * b.sign) (mag_mul a.mag b.mag)
+  if is_small a && is_small b then begin
+    let x = small a and y = small b in
+    let p = x * y in
+    if Stdlib.abs x lor Stdlib.abs y < 1 lsl 31 || x = 0 || p / x = y then
+      of_int p
+    else
+      of_mag (if x lxor y < 0 then -1 else 1)
+        (mag_mul (big_of_int x).mag (big_of_int y).mag)
+  end
+  else if is_zero a || is_zero b then zero
+  else
+    let a = to_big a and b = to_big b in
+    of_mag (a.sign * b.sign) (mag_mul a.mag b.mag)
 
 let divmod a b =
-  if b.sign = 0 then raise Division_by_zero;
-  if a.sign = 0 then (zero, zero)
+  if is_zero b then raise Division_by_zero;
+  if is_small a && is_small b then
+    (of_small (small a / small b), of_small (small a mod small b))
+  else if is_small a then (zero, a) (* |a| <= max_small < |b| *)
   else begin
+    let a = big a and b = to_big b in
     let qm, rm = mag_divmod a.mag b.mag in
-    (make (a.sign * b.sign) qm, make a.sign rm)
+    (of_mag (a.sign * b.sign) qm, of_mag a.sign rm)
   end
 
-let div a b = fst (divmod a b)
-let rem a b = snd (divmod a b)
+let div a b =
+  if is_small a && is_small b && not (is_zero b) then of_small (small a / small b)
+  else fst (divmod a b)
+
+let rem a b =
+  if is_small a && is_small b && not (is_zero b) then of_small (small a mod small b)
+  else snd (divmod a b)
 
 let fdiv a b =
   let q, r = divmod a b in
-  if r.sign <> 0 && r.sign <> b.sign then sub q one else q
+  if (not (is_zero r)) && sign r <> sign b then sub q one else q
 
 let fmod a b =
   let r = rem a b in
-  if r.sign <> 0 && r.sign <> b.sign then add r b else r
+  if (not (is_zero r)) && sign r <> sign b then add r b else r
 
 let cdiv a b =
   let q, r = divmod a b in
-  if r.sign <> 0 && r.sign = b.sign then add q one else q
+  if (not (is_zero r)) && sign r = sign b then add q one else q
 
-let rec gcd a b = if b.sign = 0 then abs a else gcd b (rem a b)
+let rec int_gcd a b = if b = 0 then a else int_gcd b (a mod b)
+
+(* Euclid on the limbs, finishing natively once both magnitudes are below
+   2^60 (two limbs). *)
+let rec mag_gcd a b =
+  if Array.length b = 0 then of_mag 1 a
+  else if Array.length a <= 2 && Array.length b <= 2 then
+    of_small (int_gcd (small (of_mag 1 a)) (small (of_mag 1 b)))
+  else mag_gcd b (snd (mag_divmod a b))
+
+let gcd a b =
+  if is_small a && is_small b then
+    of_small (int_gcd (Stdlib.abs (small a)) (Stdlib.abs (small b)))
+  else mag_gcd (to_big a).mag (to_big b).mag
 
 let lcm a b =
-  if a.sign = 0 || b.sign = 0 then zero else abs (div (mul a b) (gcd a b))
+  if is_zero a || is_zero b then zero else abs (div (mul a b) (gcd a b))
 
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
@@ -299,25 +392,36 @@ let pow t n =
   in
   go one t n
 
-let to_string t =
-  if t.sign = 0 then "0"
-  else begin
-    let chunks = ref [] in
-    let m = ref t.mag in
-    while Array.length !m > 0 do
-      let q, r = mag_divmod_limb !m 1_000_000_000 in
-      chunks := r :: !chunks;
-      m := q
-    done;
-    let buf = Buffer.create 16 in
-    if t.sign < 0 then Buffer.add_char buf '-';
-    (match !chunks with
-    | [] -> assert false
-    | first :: rest ->
-        Buffer.add_string buf (string_of_int first);
-        List.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%09d" c)) rest);
-    Buffer.contents buf
+(* The solver layers print every coefficient (canonical forms, digests,
+   cache keys), and almost all of them are small: those strings are shared
+   from a table instead of formatted each time. *)
+let table_bound = 256
+let small_strings = Array.init ((2 * table_bound) + 1) (fun i -> string_of_int (i - table_bound))
+
+let big_to_string b =
+  let chunks = ref [] in
+  let m = ref b.mag in
+  while Array.length !m > 0 do
+    let q, r = mag_divmod_limb !m 1_000_000_000 in
+    chunks := r :: !chunks;
+    m := q
+  done;
+  let buf = Buffer.create 32 in
+  if b.sign < 0 then Buffer.add_char buf '-';
+  (match !chunks with
+  | [] -> assert false
+  | first :: rest ->
+      Buffer.add_string buf (string_of_int first);
+      List.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%09d" c)) rest);
+  Buffer.contents buf
+
+let to_string x =
+  if is_small x then begin
+    let n = small x in
+    if n >= -table_bound && n <= table_bound then small_strings.(n + table_bound)
+    else string_of_int n
   end
+  else big_to_string (big x)
 
 let of_string s =
   let n = String.length s in

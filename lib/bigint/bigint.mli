@@ -2,7 +2,15 @@
 
     This module is the repository's substitute for GMP: exact, overflow-free
     integer arithmetic used by the linear-algebra, polyhedral and ILP layers.
-    Values are immutable. Magnitudes are stored little-endian in base [2^30].
+    Values are immutable.
+
+    A value in [[-(2^61-1), 2^61-1]] is an immediate native integer, and
+    operations on such values run overflow-checked native arithmetic with no
+    allocation.  Any other value is a sign-and-magnitude record with the
+    magnitude stored little-endian in base [2^30].  Every value has exactly
+    one form, so {!equal}, polymorphic [=], [Hashtbl.hash] and [Marshal]
+    agree.  Marshaled values carry this layout: a store holding them must be
+    versioned by it.
 
     Division conventions: {!divmod} truncates toward zero (like OCaml's [/]
     and [mod]); {!fdiv}/{!fmod} round toward negative infinity; {!cdiv} rounds

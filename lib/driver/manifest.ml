@@ -61,51 +61,105 @@ let status_of_name = function
 
 (* ------------------------------- encoding -------------------------------- *)
 
+let needs_escape c = c < ' ' || c = '"' || c = '\\'
+
+(* The escape of a byte for which [needs_escape] holds. *)
+let json_escape = function
+  | '"' -> "\\\""
+  | '\\' -> "\\\\"
+  | '\n' -> "\\n"
+  | '\t' -> "\\t"
+  | '\r' -> "\\r"
+  | c -> Printf.sprintf "\\u%04x" (Char.code c)
+
+(* Length of [s] encoded as a JSON string, quotes included. *)
+let json_length s =
+  let n = ref (String.length s + 2) in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if needs_escape c then n := !n + String.length (json_escape c) - 1
+  done;
+  !n
+
+(* Append [s] as a JSON string: the runs between escapes are copied whole. *)
+let add_json_string b s =
+  Buffer.add_char b '"';
+  let run = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if needs_escape c then begin
+      Buffer.add_substring b s !run (i - !run);
+      Buffer.add_string b (json_escape c);
+      run := i + 1
+    end
+  done;
+  Buffer.add_substring b s !run (String.length s - !run);
+  Buffer.add_char b '"'
+
 let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
+  let b = Buffer.create (json_length s) in
+  add_json_string b s;
   Buffer.contents b
 
-let diag_to_json (d : Diag.t) =
-  Printf.sprintf "{\"severity\": %s, \"code\": %s, \"message\": %s}"
-    (json_string (Diag.severity_name d.Diag.sev))
-    (json_string d.Diag.code)
-    (json_string d.Diag.message)
+let add_diag b (d : Diag.t) =
+  Buffer.add_string b "{\"severity\": ";
+  add_json_string b (Diag.severity_name d.Diag.sev);
+  Buffer.add_string b ", \"code\": ";
+  add_json_string b d.Diag.code;
+  Buffer.add_string b ", \"message\": ";
+  add_json_string b d.Diag.message;
+  Buffer.add_char b '}'
 
 (* [extra] appends raw (already-encoded) fields into the same object: the
    daemon tacks its "code"/"cached"/"coalesced"/"stats" fields onto the
-   exact encoding the batch manifest uses. *)
+   exact encoding the batch manifest uses.  The daemon sends one of these
+   per request, the rendered code included, so the whole encoding goes into
+   one buffer sized up front: no intermediate copy of the code. *)
 let entry_to_json ?(include_code = false) ?(extra = []) e =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"file\": %s, \"status\": %s, \"rung\": %s, \"output\": %s, \
-        \"elapsed_s\": %.6f, \"retried\": %b, \"diagnostics\": [%s]"
-       (json_string e.e_file)
-       (json_string (status_name e.e_status))
-       (json_string e.e_rung)
-       (match e.e_output with None -> "null" | Some p -> json_string p)
-       e.e_elapsed_s e.e_retried
-       (String.concat ", " (List.map diag_to_json e.e_diags)));
-  if include_code then
-    Buffer.add_string b
-      (Printf.sprintf ", \"code\": %s"
-         (match e.e_code with None -> "null" | Some c -> json_string c));
+  let opt_length = function None -> 4 | Some s -> json_length s in
+  let size =
+    160 + json_length e.e_file + json_length e.e_rung + opt_length e.e_output
+    + List.fold_left
+        (fun n (d : Diag.t) ->
+          n + 40 + json_length (Diag.severity_name d.Diag.sev)
+          + json_length d.Diag.code + json_length d.Diag.message)
+        0 e.e_diags
+    + (if include_code then 12 + opt_length e.e_code else 0)
+    + List.fold_left
+        (fun n (k, raw) -> n + 4 + json_length k + String.length raw)
+        0 extra
+  in
+  let b = Buffer.create size in
+  let add_opt = function
+    | None -> Buffer.add_string b "null"
+    | Some s -> add_json_string b s
+  in
+  Buffer.add_string b "{\"file\": ";
+  add_json_string b e.e_file;
+  Buffer.add_string b ", \"status\": ";
+  add_json_string b (status_name e.e_status);
+  Buffer.add_string b ", \"rung\": ";
+  add_json_string b e.e_rung;
+  Buffer.add_string b ", \"output\": ";
+  add_opt e.e_output;
+  Printf.bprintf b ", \"elapsed_s\": %.6f, \"retried\": %b, \"diagnostics\": ["
+    e.e_elapsed_s e.e_retried;
+  List.iteri
+    (fun i d ->
+      if i > 0 then Buffer.add_string b ", ";
+      add_diag b d)
+    e.e_diags;
+  Buffer.add_char b ']';
+  if include_code then begin
+    Buffer.add_string b ", \"code\": ";
+    add_opt e.e_code
+  end;
   List.iter
-    (fun (k, raw) -> Buffer.add_string b (Printf.sprintf ", %s: %s" (json_string k) raw))
+    (fun (k, raw) ->
+      Buffer.add_string b ", ";
+      add_json_string b k;
+      Buffer.add_string b ": ";
+      Buffer.add_string b raw)
     extra;
   Buffer.add_char b '}';
   Buffer.contents b

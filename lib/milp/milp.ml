@@ -67,14 +67,24 @@ let pivot d r e =
         if j = e then inv else Q.neg (Q.mul row.(j) inv))
   in
   (* note: coefficient at position e of new_row is the coefficient of the
-     *leaving* variable, which takes the entering one's column slot *)
+     *leaving* variable, which takes the entering one's column slot.  A
+     column where the pivot row is zero keeps its entry in every other row,
+     so the substitution touches only the pivot column and [nz]. *)
+  let nz =
+    Array.of_list
+      (List.filter
+         (fun j -> j <> e && not (Q.is_zero new_row.(j)))
+         (List.init (n + 1) Fun.id))
+  in
   let substitute target =
     let f = target.(e) in
     if Q.is_zero f then target
-    else
-      Array.init (n + 1) (fun j ->
-          if j = e then Q.mul f new_row.(e)
-          else Q.add target.(j) (Q.mul f new_row.(j)))
+    else begin
+      let t = Array.copy target in
+      t.(e) <- Q.mul f inv;
+      Array.iter (fun j -> t.(j) <- Q.add target.(j) (Q.mul f new_row.(j))) nz;
+      t
+    end
   in
   for i = 0 to Array.length d.tab - 1 do
     if i <> r then d.tab.(i) <- substitute d.tab.(i)
@@ -380,13 +390,20 @@ let widen_obj ~nonneg nv nv0 (objective : Q.t array) =
     Array.init nv (fun j ->
         if j < nv0 then objective.(j) else Q.neg (objective.(j - nv0)))
 
+(* Sub-version of the two solver stores, naming [Bigint]'s memory layout
+   (immediate below 2^61).  Their values are marshaled [Bigint.t]s; an entry
+   written under another layout must be a miss, never read back at the
+   wrong type (a boxed zero read as a [Bigint.t] is not [is_zero]). *)
+let store_version = "imm61"
+
 (* [lp] is a pure function of its arguments, so memoizing on the raw system
    digest plus the objective returns exactly what re-solving would — the
    codegen bound derivations and the verifier's range probes ask the same
    rational LPs over and over across tuner candidates. *)
 let lp_cache : lp_result Memo.t =
-  Memo.create ~kind:"milp-lp" ~hits:"milp.lp_cache_hits"
-    ~misses:"milp.lp_cache_misses" ~evictions:"milp.cache_evictions" ()
+  Memo.create ~kind:"milp-lp" ~version:store_version
+    ~hits:"milp.lp_cache_hits" ~misses:"milp.lp_cache_misses"
+    ~evictions:"milp.cache_evictions" ()
 
 let lp ?(nonneg = false) (sys : Polyhedra.t) (objective : Q.t array) =
   if Array.length objective <> sys.Polyhedra.nvars then
@@ -582,8 +599,9 @@ let feasible ?(nonneg = false) ?budget ?warm (sys : Polyhedra.t) =
    by digest, so the thousands of near-identical dependence/verify probes
    answer from the table.  Budget overruns propagate uncached. *)
 let feasible_cache : Bigint.t array option Memo.t =
-  Memo.create ~kind:"milp-feasible" ~hits:"milp.feasible_cache_hits"
-    ~misses:"milp.feasible_cache_misses" ~evictions:"milp.cache_evictions" ()
+  Memo.create ~kind:"milp-feasible" ~version:store_version
+    ~hits:"milp.feasible_cache_hits" ~misses:"milp.feasible_cache_misses"
+    ~evictions:"milp.cache_evictions" ()
 
 let clear_caches () =
   Memo.clear feasible_cache;

@@ -440,6 +440,11 @@ let stats_json st =
     (Hashtbl.length st.conns) (Memo.length st.results) (Memo.entry_count ())
     (Stats.to_json ())
 
+(* A line of only the whitespace [String.trim] strips is skipped; this
+   check reads the request in place instead of copying it. *)
+let blank line =
+  String.for_all (function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false) line
+
 let handle_line st conn line =
   Stats.incr "server.requests";
   match Manifest.Json.parse line with
@@ -497,7 +502,7 @@ let conn_readable st conn =
           | Some nl ->
               let line = String.sub data !start (nl - !start) in
               start := nl + 1;
-              if String.trim line <> "" then handle_line st conn line
+              if not (blank line) then handle_line st conn line
           | None -> scanning := false
         done;
         if conn.alive && not conn.closing then begin

@@ -126,10 +126,10 @@ let test_jobs_independence () =
       Alcotest.(check bool) "identical solver counters" true (c1 = c4))
 
 (* A file over --batch-timeout degrades instead of dying.  fdtd-2d's exact
-   search takes seconds; under a 0.5s timeout every rung that searches
-   stops on the deadline and the identity rung answers, well before the
-   pool's kill backstop — at jobs 1 (which still forks, to have a worker to
-   kill) and 2 alike. *)
+   search takes about 0.4s on a 2-core Xeon; under a 0.05s timeout
+   (8x less) every rung that searches stops on the deadline and the
+   identity rung answers, well before the pool's kill backstop — at jobs 1
+   (which still forks, to have a worker to kill) and 2 alike. *)
 let test_timeout_degrades () =
   Pool.with_temp_dir ~prefix:"batch_test" (fun dir ->
       let file = Filename.concat dir "fdtd-2d.c" in
@@ -138,7 +138,7 @@ let test_timeout_degrades () =
       List.iter
         (fun jobs ->
           let what fmt = Printf.sprintf ("jobs %d: " ^^ fmt) jobs in
-          let m = Batch.run ~options ~jobs ~task_timeout_s:0.5 [ file ] in
+          let m = Batch.run ~options ~jobs ~task_timeout_s:0.05 [ file ] in
           match m.Batch.m_entries with
           | [ e ] ->
               Alcotest.(check bool) (what "degraded") true

@@ -239,6 +239,108 @@ let prop_fdiv_cdiv_bounds =
       && Bigint.compare a (Bigint.mul c b) <= 0
       && Bigint.compare (Bigint.mul (Bigint.sub c Bigint.one) b) a < 0)
 
+(* ------------------------- the immediate boundary ------------------------- *)
+
+(* Values in [-(2^61-1), 2^61-1] are immediate native ints; the rest are limb
+   records.  [h] is far outside native range, so an operand shifted by [h]
+   is a limb record, and an operation on it runs the limb path whatever the
+   operand's form: each operation is checked against that path, through
+   [to_string], at the edges of the two forms and of native ints. *)
+let h = Bigint.pow (bi 2) 100
+
+let edge_values =
+  let p k = Bigint.pow (bi 2) k in
+  List.concat_map
+    (fun v ->
+      List.concat_map
+        (fun d ->
+          let x = Bigint.add v (bi d) in
+          [ x; Bigint.neg x ])
+        [ -2; -1; 0; 1; 2 ])
+    [ p 61; p 62; p 63; bi max_int; p 31; p 30 ]
+  @ [ bi min_int; Bigint.sub (bi min_int) Bigint.one; Bigint.zero; Bigint.one ]
+
+(* Factors whose products cross 2^62 and 2^63. *)
+let crossing_factors =
+  let p k = Bigint.pow (bi 2) k in
+  List.concat_map
+    (fun v -> [ v; Bigint.neg v ])
+    [ p 31; Bigint.add (p 31) Bigint.one; Bigint.sub (p 31) Bigint.one; p 32;
+      bi 3037000499; bi 3037000500; p 30; bi 3; Bigint.add (p 61) Bigint.one ]
+
+let via_limbs_add a b = Bigint.sub (Bigint.add (Bigint.add a h) b) h
+let via_limbs_sub a b = Bigint.sub (Bigint.sub (Bigint.add a h) b) h
+let via_limbs_mul a b = Bigint.sub (Bigint.mul (Bigint.add a h) b) (Bigint.mul h b)
+
+let check_op name expected actual =
+  check_str name (s expected) (s actual)
+
+let test_edges_vs_limbs () =
+  let all = edge_values @ crossing_factors in
+  List.iter
+    (fun a ->
+      check_op ("neg " ^ s a) (Bigint.sub (Bigint.sub h a) h) (Bigint.neg a);
+      check_op ("abs " ^ s a)
+        (if Bigint.sign a < 0 then Bigint.sub h (Bigint.add h a) else a)
+        (Bigint.abs a);
+      check_str ("roundtrip " ^ s a) (s a) (s (Bigint.of_string (s a)));
+      (match Bigint.to_int_opt a with
+      | Some n -> check_str ("native " ^ s a) (string_of_int n) (s a)
+      | None ->
+          Alcotest.(check bool) ("beyond native " ^ s a) true
+            (Bigint.compare a (bi max_int) > 0 || Bigint.compare a (bi min_int) < 0));
+      List.iter
+        (fun b ->
+          let what op = Printf.sprintf "%s %s %s" (s a) op (s b) in
+          check_op (what "+") (via_limbs_add a b) (Bigint.add a b);
+          check_op (what "-") (via_limbs_sub a b) (Bigint.sub a b);
+          check_op (what "*") (via_limbs_mul a b) (Bigint.mul a b);
+          check_int (what "compare")
+            (Bigint.compare (Bigint.add a h) (Bigint.add b h))
+            (Bigint.compare a b);
+          check_op (what "gcd")
+            (Bigint.div (Bigint.gcd (Bigint.mul a h) (Bigint.mul b h)) h)
+            (Bigint.gcd a b);
+          if not (Bigint.is_zero b) then begin
+            (* (a*h) / (b*h) has a's quotient by b and h times its remainder *)
+            let q, r = Bigint.divmod (Bigint.mul a h) (Bigint.mul b h) in
+            let q', r' = Bigint.divmod a b in
+            check_op (what "/") q q';
+            check_op (what "mod") (Bigint.div r h) r';
+            check_op (what "fdiv") (Bigint.fdiv (Bigint.mul a h) (Bigint.mul b h))
+              (Bigint.fdiv a b);
+            check_op (what "cdiv") (Bigint.cdiv (Bigint.mul a h) (Bigint.mul b h))
+              (Bigint.cdiv a b);
+            check_op (what "fmod")
+              (Bigint.div (Bigint.fmod (Bigint.mul a h) (Bigint.mul b h)) h)
+              (Bigint.fmod a b)
+          end)
+        all)
+    all
+
+(* One form per value: a result that fits is immediate however it was
+   reached, so [equal] values are [=], hash alike and marshal to the same
+   bytes. *)
+let test_single_form () =
+  let p k = Bigint.pow (bi 2) k in
+  let same name a b =
+    Alcotest.(check bool) (name ^ ": equal") true (Bigint.equal a b);
+    Alcotest.(check bool) (name ^ ": =") true (a = b);
+    check_int (name ^ ": hash") (Hashtbl.hash a) (Hashtbl.hash b);
+    check_str (name ^ ": marshal") (Marshal.to_string a []) (Marshal.to_string b [])
+  in
+  let top = (1 lsl 61) - 1 in
+  same "2^61-1 from limbs" (bi top) (Bigint.sub (p 62) (Bigint.add (p 61) Bigint.one));
+  same "-(2^61-1) from limbs" (bi (-top)) (Bigint.sub (Bigint.add (p 61) Bigint.one) (p 62));
+  same "2^61 two ways" (p 61) (Bigint.mul (p 31) (p 30));
+  same "zero from limbs" Bigint.zero (Bigint.sub h h);
+  same "small quotient" (bi 4) (Bigint.div (Bigint.mul h (bi 4)) h);
+  same "small remainder" (bi 5) (Bigint.rem (Bigint.add (Bigint.mul h (bi 4)) (bi 5)) h);
+  same "small gcd" (bi 6) (Bigint.gcd (Bigint.mul h (bi 6)) (Bigint.mul (Bigint.add h Bigint.one) (bi 6)));
+  same "max_int" (bi max_int) (Bigint.of_string (string_of_int max_int));
+  same "min_int" (bi min_int) (Bigint.of_string (string_of_int min_int));
+  same "negated 2^61" (Bigint.neg (p 61)) (Bigint.sub Bigint.zero (p 61))
+
 let suite =
   ( "bigint",
     [
@@ -252,6 +354,8 @@ let suite =
       Alcotest.test_case "gcd/lcm" `Quick test_gcd_lcm;
       Alcotest.test_case "compare" `Quick test_compare;
       Alcotest.test_case "pow" `Quick test_pow;
+      Alcotest.test_case "edges: every op vs the limb path" `Quick test_edges_vs_limbs;
+      Alcotest.test_case "edges: one form per value" `Quick test_single_form;
       QCheck_alcotest.to_alcotest prop_ring;
       QCheck_alcotest.to_alcotest prop_divmod;
       QCheck_alcotest.to_alcotest prop_string_roundtrip;

@@ -262,6 +262,39 @@ let test_memo_policy () =
         (square 101);
       Alcotest.(check int) "no recompute" 17 !computed)
 
+(* The solver stores hold marshaled [Bigint.t]s, so their entries are
+   sub-versioned by the integers' layout.  An entry written under the plain
+   stamp — the layout before immediate integers — must be a miss: here it
+   holds a wrong answer, and neither solver may return it. *)
+let test_solver_old_layout_miss () =
+  with_store (fun _dir ->
+      Fun.protect ~finally:Milp.clear_caches (fun () ->
+          Milp.clear_caches ();
+          (* 3 <= x <= 7 *)
+          let sys =
+            Polyhedra.of_constrs 1
+              [ Polyhedra.ge_ints [ 1; -3 ]; Polyhedra.ge_ints [ -1; 7 ] ]
+          in
+          let feasible_key =
+            match Polyhedra.canon ~integer:true sys with
+            | Some c -> "f:" ^ Polyhedra.digest c
+            | None -> Alcotest.fail "system is empty"
+          in
+          let lp_key = "f:" ^ Polyhedra.digest sys ^ "1," in
+          Store.write ~kind:"milp-feasible" ~key:feasible_key
+            (None : Bigint.t array option);
+          Store.write ~kind:"milp-lp" ~key:lp_key Milp.Lp_infeasible;
+          Alcotest.(check bool) "the old entry is on disk" true
+            ((Store.read ~kind:"milp-feasible" ~key:feasible_key
+               : Bigint.t array option option)
+            = Some None);
+          Alcotest.(check bool) "feasible: old entry is a miss" true
+            (Milp.feasible_cached sys <> None);
+          match Milp.lp sys [| Q.one |] with
+          | Milp.Lp_optimal (v, _) ->
+              Alcotest.(check string) "lp: old entry is a miss" "3" (Q.to_string v)
+          | _ -> Alcotest.fail "lp: the old entry's answer was returned"))
+
 (* PLUTO_FAULT_* environment round-trip. *)
 let test_fault_env () =
   let clear () =
@@ -318,5 +351,7 @@ let suite =
       Alcotest.test_case "concurrent writers share one store" `Quick
         test_concurrent_writers;
       Fixtures.stats_case "memo lookup order and trim" `Quick test_memo_policy;
+      Alcotest.test_case "solver entries of the old layout are misses" `Quick
+        test_solver_old_layout_miss;
       Alcotest.test_case "fault env knobs parse" `Quick test_fault_env;
     ] )
